@@ -2,17 +2,15 @@
 
 MTF moves the requested element to the front after each access; TRANS swaps
 it with its immediate predecessor. FC increments the requested element's
-counter and then reinserts the element ahead of the first prefix position it
-now beats: scanning positions 1..j-1 while the accessed element sits at j,
-the element moves (by free exchange) to the first position i where its
-counter f satisfies f > f_i, or f == f_i with f strictly greater than the
-counter at i+1. The tie rule can consult the accessed element's own updated
-counter (when i+1 == j), which blocks the move and keeps equal-counter
-neighbors stable.
+counter to f and then moves the element (a free exchange) to the first
+prefix position i it now beats: f > f_i, or f == f_i with f strictly greater
+than the counter at i+1. The tie rule can consult the accessed element's own
+updated counter (when i+1 == j), which blocks the move and keeps
+equal-counter neighbors stable.
 
 VFC serves runs of repeated requests in one batched step. When the current
-request's counter f is at least the head's counter, it behaves exactly like
-FC. Otherwise it computes a window budget ``|f - f_head| + 1`` and peeks at
+request's counter g is at least the head's counter, it behaves exactly like
+FC. Otherwise it computes a window budget ``|g - f_head| + 1`` and peeks at
 the budgeted-minus-one requests after the current one. If the batch trigger
 fires (see :class:`VfcPolicy`), the whole block of ``B = min(budget,
 requests remaining)`` requests is consumed at once: the counter grows by B,
@@ -21,14 +19,30 @@ extra consumed request, and a single reorganization follows. Requests inside
 a consumed block are never served individually; under the LITERAL policy a
 block may swallow requests for other symbols.
 
-Step functions are pure: they return fresh states and touch no global state.
-``run_algorithm`` drives an engine over a whole sequence and reports the
-per-step trace. The cached head counter is recomputed from the actual head
-after every step rather than trusted from the previous one.
+FC and VFC require counters that never increase along the list; each run
+checks this once, in O(m), and raises :class:`UnsortedCounters` otherwise.
+Lists from ``derive_list`` and the oracle start all zero, and FC and VFC
+steps keep the property (the verifier checks it after every step). MTF and
+TRANS ignore counters. On such a list no scan is needed: with the counters
+kept negated (so ascending) beside the order, a binary search finds c, the
+first prefix index whose counter is below f. Every counter before c is at
+least f, so the strict rule cannot fire before c, and the tie rule only at
+c - 1, whose successor is below f when c < j and is the accessed element
+itself when c == j. So the element stays put when c == j, and otherwise goes
+to c - 1 if that counter equals f and to c if it does not.
+
+``run_algorithm`` is the one run loop. Each engine is a step that serves the
+request at a cursor and returns the accessed index j and the number of
+requests consumed (always 1 for MTF, TRANS and FC); the loop charges the
+access cost at position j + 1 plus one unit per extra consumed request, and
+keeps the trace and the snapshots. The single-step functions (``mtf_step``
+and the rest) run the same steps on a copy of the state.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .listcore import (
     CostModel,
@@ -39,11 +53,18 @@ from .listcore import (
     Symbol,
     SymbolNotInList,
     access_cost,
+    position_of,
 )
+
+Step = Callable[[int], tuple[int, int]]
 
 
 class CursorExhausted(ListLabError):
     """A step was asked for after the request sequence ran out."""
+
+
+class UnsortedCounters(ListLabError):
+    """FC or VFC was given a list whose counters increase from front to back."""
 
 
 class AlgorithmKind(Enum):
@@ -70,7 +91,7 @@ class VfcPolicy(Enum):
 @dataclass
 class VfcRunState:
     """Progress of one VFC run: the list, the index of the next unconsumed
-    request (0-based), and the cached counter of the current head element."""
+    request (0-based), and the counter of the current head element."""
 
     list_state: ListState
     cursor: int
@@ -108,152 +129,146 @@ def vfc_lookahead_size(f_elem: int, f_head: int) -> int:
     return abs(f_elem - f_head) + 1
 
 
+def _check_non_increasing(neg: list[int]) -> None:
+    """Reject counters (given negated) that increase along the list."""
+    if neg != sorted(neg):
+        raise UnsortedCounters(
+            f"counters {tuple(-c for c in neg)} increase along the list; FC and VFC "
+            "need them non-increasing from front to back"
+        )
+
+
+def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
+    """Give ``order[j]`` the counter ``f`` and move it where the FC rule
+    puts it; ``neg`` holds the negated counters aligned with ``order``."""
+    c = bisect_right(neg, -f, 0, j)
+    if c == j:
+        neg[j] = -f
+        return
+    if c and neg[c - 1] == -f:
+        c -= 1
+    order.insert(c, order.pop(j))
+    del neg[j]
+    neg.insert(c, -f)
+
+
 def frequency_count_reorganize(state: ListState, accessed: Symbol) -> ListState:
-    """Reinsert ``accessed`` per the counter-scan rule described above.
+    """Reinsert ``accessed`` per the counter rule described above.
 
     Expects the accessed element's counter to have been updated for this
-    step already. Performs at most one free exchange.
+    step already, and every other counter to be non-increasing along the
+    list. Performs at most one free exchange.
     """
     new = state.copy()
-    _reorganize_inplace(new, accessed)
+    j = position_of(new, accessed) - 1
+    neg = [-new.freq[s] for s in new.order]
+    _check_non_increasing(neg[:j] + neg[j + 1 :])
+    _promote(new.order, neg, j, -neg[j])
     return new
 
 
-def _reorganize_inplace(state: ListState, accessed: Symbol, j: int | None = None) -> None:
+def _counting_engine(state: ListState, sequence: RequestSequence, lookahead: VfcPolicy | None) -> Step:
+    """FC when ``lookahead`` is None, VFC under that policy otherwise."""
+    order, freq = state.order, state.freq
+    neg = [-freq[s] for s in order]
+    _check_non_increasing(neg)
+    index = order.index
+    n = len(sequence)
+
+    def step(cursor: int) -> tuple[int, int]:
+        request = sequence[cursor]
+        j = index(request)
+        g = -neg[j]
+        consumed = 1
+        if lookahead is not None and -neg[0] > g:
+            start = cursor + 1
+            stop = min(cursor + vfc_lookahead_size(g, -neg[0]), n)
+            if lookahead is VfcPolicy.LITERAL:
+                # bytes, list and tuple all expose bounded index()
+                try:
+                    sequence.index(request, start, stop)  # type: ignore[attr-defined]
+                    consumed = stop - cursor
+                except ValueError:
+                    pass
+            # the last request is the cheapest one to rule a window out by
+            elif (
+                stop > start
+                and sequence[stop - 1] == request
+                and sequence[start:stop].count(request) == stop - start
+            ):
+                consumed = stop - cursor
+        _promote(order, neg, j, g + consumed)
+        freq[request] = g + consumed
+        return j, consumed
+
+    return step
+
+
+def _engine(kind: AlgorithmKind, state: ListState, sequence: RequestSequence, policy: VfcPolicy) -> Step:
+    """The step of ``kind`` over ``state``, which it updates in place: it
+    serves the request at a cursor and returns (accessed index, requests
+    consumed), raising ValueError when the symbol is not listed."""
+    if kind is AlgorithmKind.FC or kind is AlgorithmKind.VFC:
+        return _counting_engine(state, sequence, policy if kind is AlgorithmKind.VFC else None)
     order = state.order
-    freq = state.freq
-    if j is None:
-        try:
-            j = order.index(accessed)
-        except ValueError:
-            raise SymbolNotInList(accessed) from None
-    f = freq[accessed]
-    for i in range(j):
-        fi = freq[order[i]]
-        if f > fi:
-            order.insert(i, order.pop(j))
-            return
-        if f == fi:
-            # order[i + 1] always exists for i < j; when i + 1 == j it is the
-            # accessed element itself, whose updated counter blocks the move.
-            if i + 1 >= len(order) or f > freq[order[i + 1]]:
-                order.insert(i, order.pop(j))
-                return
+    index = order.index
+    if kind is AlgorithmKind.MTF:
+
+        def step(cursor: int) -> tuple[int, int]:
+            j = index(sequence[cursor])
+            if j:
+                order.insert(0, order.pop(j))
+            return j, 1
+
+    else:
+
+        def step(cursor: int) -> tuple[int, int]:
+            j = index(sequence[cursor])
+            if j:
+                order[j - 1], order[j] = order[j], order[j - 1]
+            return j, 1
+
+    return step
 
 
-def _find(state: ListState, request: Symbol) -> int:
+def _step_copy(
+    kind: AlgorithmKind,
+    state: ListState,
+    sequence: RequestSequence,
+    cursor: int,
+    model: CostModel,
+    policy: VfcPolicy = VfcPolicy.LITERAL,
+) -> tuple[ListState, int, int]:
+    """Serve one step at ``cursor`` on a copy: (new state, cost, consumed)."""
+    if cursor >= len(sequence):
+        raise CursorExhausted(f"cursor {cursor} is past the end of {len(sequence)} requests")
+    new = state.copy()
+    step = _engine(kind, new, sequence, policy)
     try:
-        return state.order.index(request)
+        j, consumed = step(cursor)
     except ValueError:
-        raise SymbolNotInList(request) from None
-
-
-def _mtf_inplace(state: ListState, request: Symbol, model: CostModel) -> tuple[int, int]:
-    j = _find(state, request)
-    cost = access_cost(model, j + 1)
-    if j:
-        state.order.insert(0, state.order.pop(j))
-    return cost, j + 1
-
-
-def _trans_inplace(state: ListState, request: Symbol, model: CostModel) -> tuple[int, int]:
-    j = _find(state, request)
-    cost = access_cost(model, j + 1)
-    if j:
-        order = state.order
-        order[j - 1], order[j] = order[j], order[j - 1]
-    return cost, j + 1
-
-
-def _fc_inplace(state: ListState, request: Symbol, model: CostModel) -> tuple[int, int]:
-    j = _find(state, request)
-    cost = access_cost(model, j + 1)
-    state.freq[request] += 1
-    _reorganize_inplace(state, request, j)
-    return cost, j + 1
+        raise SymbolNotInList(sequence[cursor]) from None
+    return new, access_cost(model, j + 1) + consumed - 1, consumed
 
 
 def mtf_step(state: ListState, request: Symbol, model: CostModel = CostModel.FULL) -> tuple[ListState, int]:
     """Serve one request with move-to-front; returns (new state, cost)."""
-    new = state.copy()
-    cost, _ = _mtf_inplace(new, request, model)
+    new, cost, _ = _step_copy(AlgorithmKind.MTF, state, (request,), 0, model)
     return new, cost
 
 
 def trans_step(state: ListState, request: Symbol, model: CostModel = CostModel.FULL) -> tuple[ListState, int]:
     """Serve one request with transpose; the head has no predecessor and
     stays put."""
-    new = state.copy()
-    cost, _ = _trans_inplace(new, request, model)
+    new, cost, _ = _step_copy(AlgorithmKind.TRANS, state, (request,), 0, model)
     return new, cost
 
 
 def fc_step(state: ListState, request: Symbol, model: CostModel = CostModel.FULL) -> tuple[ListState, int]:
     """Serve one request with frequency count: charge, bump the counter,
     reorganize."""
-    new = state.copy()
-    cost, _ = _fc_inplace(new, request, model)
+    new, cost, _ = _step_copy(AlgorithmKind.FC, state, (request,), 0, model)
     return new, cost
-
-
-def _window_contains(sequence: RequestSequence, symbol: Symbol, start: int, stop: int) -> bool:
-    # bytes, list and tuple all expose bounded index(); bounds past the end clip.
-    try:
-        sequence.index(symbol, start, stop)  # type: ignore[attr-defined]
-    except ValueError:
-        return False
-    return True
-
-
-def _window_homogeneous(sequence: RequestSequence, symbol: Symbol, start: int, stop: int) -> bool:
-    stop = min(stop, len(sequence))
-    if stop <= start:
-        return False
-    if sequence[start] != symbol:
-        return False
-    window = sequence[start:stop]
-    return window.count(symbol) == stop - start
-
-
-def _vfc_step_inplace(
-    state: ListState,
-    head_freq: int,
-    sequence: RequestSequence,
-    cursor: int,
-    model: CostModel,
-    policy: VfcPolicy,
-) -> tuple[int, int, int, int]:
-    """Advance one VFC step in place.
-
-    Returns (cost, requests consumed, counter of the new head, pre-access
-    position). ``head_freq`` must be the counter of the current head.
-    """
-    n = len(sequence)
-    if cursor >= n:
-        raise CursorExhausted(f"cursor {cursor} is past the end of {n} requests")
-    request = sequence[cursor]
-    j = _find(state, request)
-    pos = j + 1
-    f = state.freq[request]
-    consumed = 1
-    batched = False
-    if head_freq > f:
-        budget = vfc_lookahead_size(f, head_freq)
-        start, stop = cursor + 1, cursor + budget
-        if policy is VfcPolicy.LITERAL:
-            batched = _window_contains(sequence, request, start, stop)
-        else:
-            batched = _window_homogeneous(sequence, request, start, stop)
-        if batched:
-            consumed = min(budget, n - cursor)
-            state.freq[request] = f + consumed
-            cost = access_cost(model, pos) + (consumed - 1)
-            _reorganize_inplace(state, request, j)
-    if not batched:
-        cost = access_cost(model, pos)
-        state.freq[request] = f + 1
-        _reorganize_inplace(state, request, j)
-    return cost, consumed, state.freq[state.order[0]], pos
 
 
 def vfc_step(
@@ -265,27 +280,13 @@ def vfc_step(
     """Serve the next request (or batched block) of a VFC run.
 
     Returns (advanced run state, cost charged by this step, requests
-    consumed). The advanced state's head counter is recomputed from the
-    actual head element.
+    consumed). The step reads the head counter off the list itself, and the
+    advanced state's head counter is that of the new head element.
     """
-    state = run.list_state.copy()
-    cost, consumed, head_freq, _ = _vfc_step_inplace(
-        state, run.head_freq, sequence, run.cursor, model, policy
+    state, cost, consumed = _step_copy(
+        AlgorithmKind.VFC, run.list_state, sequence, run.cursor, model, policy
     )
-    return VfcRunState(state, run.cursor + consumed, head_freq), cost, consumed
-
-
-_STEP_ENGINES = {
-    AlgorithmKind.MTF: _mtf_inplace,
-    AlgorithmKind.TRANS: _trans_inplace,
-    AlgorithmKind.FC: _fc_inplace,
-}
-
-
-def _snapshot(record: StepRecord, state: ListState) -> StepRecord:
-    record.list_after = tuple(state.order)
-    record.freq_after = state.frequencies_in_order()
-    return record
+    return VfcRunState(state, run.cursor + consumed, state.freq[state.head]), cost, consumed
 
 
 def run_algorithm(
@@ -306,37 +307,28 @@ def run_algorithm(
     after every step.
     """
     work = state.copy()
+    step = _engine(kind, work, sequence, policy)
+    # access_cost stays the one statement of the cost model; the table makes
+    # it one lookup per step
+    costs = [access_cost(model, p) for p in range(1, len(work) + 1)]
     steps: list[StepRecord] = []
     total = 0
     n = len(sequence)
-
-    if kind is AlgorithmKind.VFC:
-        head_freq = work.freq[work.head] if len(work) else 0
-        cursor = 0
-        while cursor < n:
-            request = sequence[cursor]
-            try:
-                cost, consumed, head_freq, pos = _vfc_step_inplace(
-                    work, head_freq, sequence, cursor, model, policy
-                )
-            except SymbolNotInList as err:
-                raise SymbolNotInList(err.symbol, cursor) from None
-            total += cost
-            if keep_trace:
-                record = StepRecord(request, pos, cost, consumed)
-                steps.append(_snapshot(record, work) if snapshots else record)
-            cursor += consumed
-    else:
-        engine = _STEP_ENGINES[kind]
-        for index, request in enumerate(sequence):
-            try:
-                cost, pos = engine(work, request, model)
-            except SymbolNotInList as err:
-                raise SymbolNotInList(err.symbol, index) from None
-            total += cost
-            if keep_trace:
-                record = StepRecord(request, pos, cost, 1)
-                steps.append(_snapshot(record, work) if snapshots else record)
+    cursor = 0
+    while cursor < n:
+        try:
+            j, consumed = step(cursor)
+        except ValueError:
+            raise SymbolNotInList(sequence[cursor], cursor) from None
+        cost = costs[j] + consumed - 1
+        total += cost
+        if keep_trace:
+            record = StepRecord(sequence[cursor], j + 1, cost, consumed)
+            if snapshots:
+                record.list_after = tuple(work.order)
+                record.freq_after = work.frequencies_in_order()
+            steps.append(record)
+        cursor += consumed
 
     return RunReport(
         algorithm=kind,

@@ -14,7 +14,7 @@ a violated property, 3 an engine broke an internal invariant.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
 from pathlib import Path
 
 from .algorithms import AlgorithmKind, VfcPolicy, run_algorithm
@@ -43,27 +43,16 @@ DEMO_NAME = "demo"
 DEMO_SEQUENCE = (1, 2, 2, 3, 3, 3)
 
 
-@dataclass
-class RunConfig:
-    inputs: list[tuple[str, RequestSequence]]
-    algorithms: list[AlgorithmKind]
-    model: CostModel
-    policy: VfcPolicy
-    list_order: ListOrderPolicy
-    limit: int | None = None
-    csv_path: Path | None = None
-    chart_path: Path | None = None
-    trace: bool = False
-    wide: bool = True
-    extra: dict = field(default_factory=dict)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="listlab", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run engines over inputs and compare totals")
-    run.add_argument("paths", nargs="*", help="corpus files (raw bytes)")
+    run.add_argument(
+        "paths",
+        nargs="*",
+        help="corpus files (raw bytes), labelled by basename, or by the path as given when basenames collide",
+    )
     run.add_argument("--demo", action="store_true", help="include the built-in 3-element demo instance")
     run.add_argument("--generate", metavar="DIST", help="synthetic workload: uniform, zipf[:EXP] or runs[:MEAN]")
     run.add_argument("--alphabet-size", type=int, default=8, help="alphabet size for --generate")
@@ -119,9 +108,11 @@ def _gather_inputs(args) -> list[tuple[str, RequestSequence]]:
     inputs: list[tuple[str, RequestSequence]] = []
     if args.demo:
         inputs.append((DEMO_NAME, DEMO_SEQUENCE))
-    for path in args.paths:
-        text = load_file(path)
-        inputs.append((text.source_name, preprocess(text, strip)))
+    texts = [load_file(path) for path in args.paths]
+    basenames = Counter(text.source_name for text in texts)
+    for path, text in zip(args.paths, texts):
+        label = text.source_name if basenames[text.source_name] == 1 else path
+        inputs.append((label, preprocess(text, strip)))
     if args.generate:
         dist = _parse_distribution(args.generate)
         alphabet = list(range(args.alphabet_size))
@@ -129,7 +120,23 @@ def _gather_inputs(args) -> list[tuple[str, RequestSequence]]:
         inputs.append((label, generate_sequence(alphabet, args.length, dist, args.seed)))
     if not inputs:
         raise ValueError("no inputs: give file paths, --demo, or --generate")
-    return inputs
+    return _distinct_labels(inputs)
+
+
+def _distinct_labels(inputs: list[tuple[str, RequestSequence]]) -> list[tuple[str, RequestSequence]]:
+    """Suffix ``#2``, ``#3``, ... to a label that an earlier input already
+    has (the same path given twice, a file named like the demo), because
+    the CSV reader folds neighbouring rows with one label into one row."""
+    taken: set[str] = set()
+    distinct = []
+    for label, sequence in inputs:
+        unique, k = label, 1
+        while unique in taken:
+            k += 1
+            unique = f"{label}#{k}"
+        taken.add(unique)
+        distinct.append((unique, sequence))
+    return distinct
 
 
 def cmd_run(args) -> int:

@@ -86,7 +86,7 @@ class Uniform:
 @dataclass(frozen=True)
 class Zipf:
     """Rank-weighted sampling: the r-th alphabet symbol gets weight
-    1 / (r + 1) ** exponent."""
+    1 / (r + 1) ** exponent. ``exponent`` must be finite and positive."""
 
     exponent: float = 1.0
 
@@ -132,6 +132,8 @@ def generate_sequence(
 
     if isinstance(distribution, Zipf):
         s = distribution.exponent
+        if not math.isfinite(s):
+            raise ValueError(f"Zipf exponent must be finite, got {s}")
         if s <= 0:
             raise ValueError("Zipf exponent must be positive")
         weights = [(r + 1) ** -s for r in range(len(symbols))]

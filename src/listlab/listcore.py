@@ -92,7 +92,10 @@ class ListState:
         return cls(symbols, counters)
 
     def copy(self) -> "ListState":
-        return ListState(list(self.order), dict(self.freq))
+        # a copy of a valid state is valid: skip __post_init__'s O(m) checks
+        new = object.__new__(type(self))
+        new.order, new.freq = list(self.order), dict(self.freq)
+        return new
 
     def __len__(self) -> int:
         return len(self.order)
@@ -103,7 +106,7 @@ class ListState:
 
     def frequencies_in_order(self) -> tuple[int, ...]:
         """Counters read off front to back; handy for sortedness checks."""
-        return tuple(self.freq[s] for s in self.order)
+        return tuple(map(self.freq.__getitem__, self.order))
 
 
 @dataclass

@@ -6,17 +6,24 @@ from listlab import (
     CostModel,
     CursorExhausted,
     ListState,
+    SmallInstance,
     SymbolNotInList,
+    UnsortedCounters,
     VfcPolicy,
     VfcRunState,
+    derive_list,
     fc_step,
     frequency_count_reorganize,
     mtf_step,
+    naive_fc_step_costs,
+    preprocess,
     run_algorithm,
     trans_step,
     vfc_lookahead_size,
     vfc_step,
 )
+
+from _textgen import surrogate_corpus
 
 FULL = CostModel.FULL
 PARTIAL = CostModel.PARTIAL
@@ -264,3 +271,82 @@ def test_counters_non_increasing_after_every_step(case, kind):
     for step in report.steps:
         freqs = step.freq_after
         assert all(freqs[i] >= freqs[i + 1] for i in range(len(freqs) - 1))
+
+
+class TestUnsortedCounters:
+    """FC and VFC place by binary search, which needs counters that never
+    increase along the list; MTF and TRANS never read counters."""
+
+    RISING = (0, 3, 1)
+
+    @pytest.mark.parametrize(
+        "kind,policy",
+        [(AlgorithmKind.FC, LITERAL), (AlgorithmKind.VFC, LITERAL), (AlgorithmKind.VFC, STRICT)],
+    )
+    def test_counting_engines_reject(self, kind, policy):
+        with pytest.raises(UnsortedCounters):
+            run_algorithm(kind, state([1, 2, 3], self.RISING), (3, 1), FULL, policy)
+
+    def test_single_steps_reject(self):
+        with pytest.raises(UnsortedCounters):
+            fc_step(state([1, 2, 3], self.RISING), 1)
+        with pytest.raises(UnsortedCounters):
+            vfc_step(VfcRunState(state([1, 2, 3], self.RISING), 0, 0), (1, 1))
+        with pytest.raises(UnsortedCounters):
+            frequency_count_reorganize(state([1, 2, 3, 4], (0, 3, 1, 5)), 4)
+
+    @pytest.mark.parametrize("kind,total", [(AlgorithmKind.MTF, 3 + 2), (AlgorithmKind.TRANS, 3 + 1)])
+    def test_mtf_and_trans_accept(self, kind, total):
+        report = run_algorithm(kind, state([1, 2, 3], self.RISING), (3, 1), FULL)
+        assert report.total_cost == total
+        assert report.final_state.freq == {1: 0, 2: 3, 3: 1}
+
+
+@st.composite
+def oracle_instance(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    order = tuple(draw(st.permutations(range(1, m + 1))))
+    seq = draw(st.lists(st.sampled_from(order), max_size=10))
+    return SmallInstance(order, tuple(seq), draw(st.sampled_from([FULL, PARTIAL])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_instance())
+def test_fc_step_costs_match_reference(inst):
+    report = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, inst.model)
+    assert report.step_costs == naive_fc_step_costs(inst)
+
+
+# Totals of every engine configuration over the surrogate corpus texts
+# (spaces and line breaks stripped, list in first-occurrence order, full cost
+# model), recorded from the prefix-scan engines that the binary-search
+# placement replaced: (requests, mtf, trans, fc, vfc[literal], vfc[strict]).
+SURROGATE_TOTALS = {
+    "surrogate-trans": (51202, 466144, 365220, 350523, 75397, 350521),
+    "surrogate-book1": (51203, 521591, 414042, 397791, 79932, 397791),
+    "surrogate-news": (51207, 597344, 456295, 439522, 76292, 439520),
+    "surrogate-bib": (58835, 879392, 639223, 614433, 103103, 614433),
+    "surrogate-paper1": (51203, 496239, 388456, 372989, 73157, 372988),
+    "surrogate-progp": (51292, 779651, 541115, 515636, 88309, 515636),
+    "surrogate-progc": (51225, 820928, 564279, 539957, 92384, 539954),
+    "surrogate-geo": (58873, 1768680, 1387419, 1357641, 104719, 1357641),
+}
+
+
+def test_surrogate_corpus_totals():
+    engines = [
+        (AlgorithmKind.MTF, LITERAL),
+        (AlgorithmKind.TRANS, LITERAL),
+        (AlgorithmKind.FC, LITERAL),
+        (AlgorithmKind.VFC, LITERAL),
+        (AlgorithmKind.VFC, STRICT),
+    ]
+    totals = {}
+    for name, raw in surrogate_corpus().items():
+        sequence = preprocess(raw)
+        initial = derive_list(sequence)
+        totals[name] = (len(sequence),) + tuple(
+            run_algorithm(kind, initial, sequence, FULL, policy, keep_trace=False).total_cost
+            for kind, policy in engines
+        )
+    assert totals == SURROGATE_TOTALS

@@ -115,6 +115,11 @@ class TestGenerateSequence:
         with pytest.raises(ValueError):
             generate_sequence([1, 2], 10, Zipf(0.0), seed=1)
 
+    @pytest.mark.parametrize("exponent", [float("inf"), float("nan")])
+    def test_zipf_exponent_must_be_finite(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            generate_sequence([1, 2], 10, Zipf(exponent), seed=1)
+
     def test_run_lengths_mean(self):
         seq = generate_sequence(list(range(4)), 10_000, RunLengths(5.0), seed=3)
         runs = 1 + sum(1 for a, b in zip(seq, seq[1:]) if a != b)
