@@ -8,18 +8,11 @@ oracles for small instances, and CSV / SVG comparison reporting.
 
 from .algorithms import (
     AlgorithmKind,
-    CursorExhausted,
     RunReport,
     UnsortedCounters,
     VfcPolicy,
-    VfcRunState,
-    fc_step,
-    frequency_count_reorganize,
-    mtf_step,
     run_algorithm,
-    trans_step,
     vfc_lookahead_size,
-    vfc_step,
 )
 from .chart import EmptyReport, render_bar_chart
 from .corpus import (
@@ -38,7 +31,6 @@ from .corpus import (
     preprocess,
 )
 from .listcore import (
-    BackwardMove,
     CostModel,
     ListLabError,
     ListState,
@@ -48,8 +40,6 @@ from .listcore import (
     Symbol,
     SymbolNotInList,
     access_cost,
-    move_forward,
-    position_of,
 )
 from .oracle import (
     BoundsExceeded,
@@ -68,12 +58,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmKind",
-    "BackwardMove",
     "BoundsExceeded",
     "ComparisonRow",
     "CorpusText",
     "CostModel",
-    "CursorExhausted",
     "DEFAULT_STRIP_BYTES",
     "EmptyAfterPreprocessing",
     "EmptyAlphabet",
@@ -95,29 +83,21 @@ __all__ = [
     "UnsortedCounters",
     "VerificationReport",
     "VfcPolicy",
-    "VfcRunState",
     "Zipf",
     "access_cost",
     "derive_list",
     "enumerate_instances",
-    "fc_step",
     "format_table",
-    "frequency_count_reorganize",
     "generate_sequence",
     "load_file",
-    "move_forward",
-    "mtf_step",
     "naive_fc_cost",
     "naive_fc_step_costs",
     "opt_free_exchange_cost",
-    "position_of",
     "preprocess",
     "render_bar_chart",
     "rows_from_csv",
     "rows_to_csv",
     "run_algorithm",
-    "trans_step",
     "verify_engines",
     "vfc_lookahead_size",
-    "vfc_step",
 ]

@@ -35,8 +35,7 @@ to c - 1 if that counter equals f and to c if it does not.
 request at a cursor and returns the accessed index j and the number of
 requests consumed (always 1 for MTF, TRANS and FC); the loop charges the
 access cost at position j + 1 plus one unit per extra consumed request, and
-keeps the trace and the snapshots. The single-step functions (``mtf_step``
-and the rest) run the same steps on a copy of the state.
+keeps the trace and the snapshots.
 """
 
 from bisect import bisect_right
@@ -53,14 +52,9 @@ from .listcore import (
     Symbol,
     SymbolNotInList,
     access_cost,
-    position_of,
 )
 
 Step = Callable[[int], tuple[int, int]]
-
-
-class CursorExhausted(ListLabError):
-    """A step was asked for after the request sequence ran out."""
 
 
 class UnsortedCounters(ListLabError):
@@ -86,21 +80,6 @@ class VfcPolicy(Enum):
 
     LITERAL = "literal"
     STRICT_HOMOGENEOUS = "strict"
-
-
-@dataclass
-class VfcRunState:
-    """Progress of one VFC run: the list, the index of the next unconsumed
-    request (0-based), and the counter of the current head element."""
-
-    list_state: ListState
-    cursor: int
-    head_freq: int
-
-    @classmethod
-    def fresh(cls, state: ListState) -> "VfcRunState":
-        head_freq = state.freq[state.head] if len(state) else 0
-        return cls(state.copy(), 0, head_freq)
 
 
 @dataclass
@@ -150,21 +129,6 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
     order.insert(c, order.pop(j))
     del neg[j]
     neg.insert(c, -f)
-
-
-def frequency_count_reorganize(state: ListState, accessed: Symbol) -> ListState:
-    """Reinsert ``accessed`` per the counter rule described above.
-
-    Expects the accessed element's counter to have been updated for this
-    step already, and every other counter to be non-increasing along the
-    list. Performs at most one free exchange.
-    """
-    new = state.copy()
-    j = position_of(new, accessed) - 1
-    neg = [-new.freq[s] for s in new.order]
-    _check_non_increasing(neg[:j] + neg[j + 1 :])
-    _promote(new.order, neg, j, -neg[j])
-    return new
 
 
 def _counting_engine(state: ListState, sequence: RequestSequence, lookahead: VfcPolicy | None) -> Step:
@@ -229,64 +193,6 @@ def _engine(kind: AlgorithmKind, state: ListState, sequence: RequestSequence, po
             return j, 1
 
     return step
-
-
-def _step_copy(
-    kind: AlgorithmKind,
-    state: ListState,
-    sequence: RequestSequence,
-    cursor: int,
-    model: CostModel,
-    policy: VfcPolicy = VfcPolicy.LITERAL,
-) -> tuple[ListState, int, int]:
-    """Serve one step at ``cursor`` on a copy: (new state, cost, consumed)."""
-    if cursor >= len(sequence):
-        raise CursorExhausted(f"cursor {cursor} is past the end of {len(sequence)} requests")
-    new = state.copy()
-    step = _engine(kind, new, sequence, policy)
-    try:
-        j, consumed = step(cursor)
-    except ValueError:
-        raise SymbolNotInList(sequence[cursor]) from None
-    return new, access_cost(model, j + 1) + consumed - 1, consumed
-
-
-def mtf_step(state: ListState, request: Symbol, model: CostModel = CostModel.FULL) -> tuple[ListState, int]:
-    """Serve one request with move-to-front; returns (new state, cost)."""
-    new, cost, _ = _step_copy(AlgorithmKind.MTF, state, (request,), 0, model)
-    return new, cost
-
-
-def trans_step(state: ListState, request: Symbol, model: CostModel = CostModel.FULL) -> tuple[ListState, int]:
-    """Serve one request with transpose; the head has no predecessor and
-    stays put."""
-    new, cost, _ = _step_copy(AlgorithmKind.TRANS, state, (request,), 0, model)
-    return new, cost
-
-
-def fc_step(state: ListState, request: Symbol, model: CostModel = CostModel.FULL) -> tuple[ListState, int]:
-    """Serve one request with frequency count: charge, bump the counter,
-    reorganize."""
-    new, cost, _ = _step_copy(AlgorithmKind.FC, state, (request,), 0, model)
-    return new, cost
-
-
-def vfc_step(
-    run: VfcRunState,
-    sequence: RequestSequence,
-    model: CostModel = CostModel.FULL,
-    policy: VfcPolicy = VfcPolicy.LITERAL,
-) -> tuple[VfcRunState, int, int]:
-    """Serve the next request (or batched block) of a VFC run.
-
-    Returns (advanced run state, cost charged by this step, requests
-    consumed). The step reads the head counter off the list itself, and the
-    advanced state's head counter is that of the new head element.
-    """
-    state, cost, consumed = _step_copy(
-        AlgorithmKind.VFC, run.list_state, sequence, run.cursor, model, policy
-    )
-    return VfcRunState(state, run.cursor + consumed, state.freq[state.head]), cost, consumed
 
 
 def run_algorithm(

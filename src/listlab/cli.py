@@ -13,6 +13,7 @@ a violated property, 3 an engine broke an internal invariant.
 """
 
 import argparse
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -88,8 +89,11 @@ def _parse_algos(spec: str) -> list[AlgorithmKind]:
 
 
 def _parse_strip(spec: str) -> frozenset[int]:
-    tokens = [t for t in spec.replace(",", " ").split() if t]
-    return frozenset(int(t, 16) for t in tokens) if tokens else frozenset()
+    tokens = spec.replace(",", " ").split()
+    for token in tokens:
+        if not re.fullmatch("[0-9a-fA-F]{1,2}", token):
+            raise ValueError(f"--strip-bytes: {token!r} is not a hex byte value in 00..ff")
+    return frozenset(int(t, 16) for t in tokens)
 
 
 def _parse_distribution(spec: str):

@@ -1,13 +1,16 @@
-"""List state, cost models, and the primitive reorganization moves.
+"""List state, cost models, and the per-step trace record.
 
 Positions are 1-based throughout: the head of the list is position 1, and
 accessing it costs 1 under the full cost model (0 under the partial model).
-The only reorganization primitive offered here is the free exchange, which
-moves an element any number of positions toward the front at zero cost.
-Paid exchanges (unit cost for swapping two adjacent elements) exist in the
-cost-model vocabulary but are used by none of the shipped engines: even the
-transpose engine's single adjacent swap moves the just-accessed element
-forward and is therefore free.
+Every engine reorganizes by free exchanges only: after a step it may move
+the requested element any number of positions toward the front at zero
+cost, and every other symbol keeps its relative order. The oracle's
+dominance check relies on this, and a property test over the snapshots of
+``run_algorithm`` checks it for every engine and policy. Paid exchanges
+(unit cost for swapping two adjacent elements) exist in the cost-model
+vocabulary but are used by none of the shipped engines: even the transpose
+engine's single adjacent swap moves the just-accessed element forward and
+is therefore free.
 
 Symbols are plain ints: byte values 0..255 for corpus-derived lists, small
 integers for synthetic ones. A request sequence is any int sequence, so a
@@ -38,10 +41,6 @@ class SymbolNotInList(ListLabError):
 
 class PositionOutOfRange(ListLabError):
     pass
-
-
-class BackwardMove(ListLabError):
-    """Free exchanges only move elements toward the front."""
 
 
 class CostModel(Enum):
@@ -100,10 +99,6 @@ class ListState:
     def __len__(self) -> int:
         return len(self.order)
 
-    @property
-    def head(self) -> Symbol:
-        return self.order[0]
-
     def frequencies_in_order(self) -> tuple[int, ...]:
         """Counters read off front to back; handy for sortedness checks."""
         return tuple(map(self.freq.__getitem__, self.order))
@@ -123,36 +118,8 @@ class StepRecord:
     freq_after: tuple[int, ...] | None = None
 
 
-def position_of(state: ListState, symbol: Symbol) -> int:
-    """1-based position of ``symbol`` in the list."""
-    try:
-        return state.order.index(symbol) + 1
-    except ValueError:
-        raise SymbolNotInList(symbol) from None
-
-
 def access_cost(model: CostModel, position: int) -> int:
     """Cost of accessing the element at ``position`` under ``model``."""
     if position < 1:
         raise PositionOutOfRange(f"positions are 1-based, got {position}")
     return position if model is CostModel.FULL else position - 1
-
-
-def move_forward(state: ListState, from_pos: int, to_pos: int) -> ListState:
-    """Free exchange: a new state with the element at ``from_pos`` moved to
-    ``to_pos``; the elements in between shift back by one. Zero cost."""
-    new = state.copy()
-    _move_forward_inplace(new, from_pos, to_pos)
-    return new
-
-
-def _move_forward_inplace(state: ListState, from_pos: int, to_pos: int) -> None:
-    m = len(state.order)
-    if not 1 <= from_pos <= m:
-        raise PositionOutOfRange(f"from_pos {from_pos} not in 1..{m}")
-    if not 1 <= to_pos <= m:
-        raise PositionOutOfRange(f"to_pos {to_pos} not in 1..{m}")
-    if to_pos > from_pos:
-        raise BackwardMove(f"cannot move from {from_pos} back to {to_pos}")
-    if to_pos != from_pos:
-        state.order.insert(to_pos - 1, state.order.pop(from_pos - 1))

@@ -48,6 +48,8 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
     for line in reader:
         if not line:
             continue
+        if len(line) != len(CSV_HEADER):
+            raise ValueError(f"CSV line {reader.line_num} has {len(line)} fields, expected {len(CSV_HEADER)}")
         file, n, list_size, algo, model, total = line
         key = (file, int(n), int(list_size), CostModel(model))
         if not rows or (rows[-1].file, rows[-1].n, rows[-1].list_size, rows[-1].cost_model) != key:

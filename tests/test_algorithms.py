@@ -4,23 +4,17 @@ from hypothesis import given, settings, strategies as st
 from listlab import (
     AlgorithmKind,
     CostModel,
-    CursorExhausted,
     ListState,
     SmallInstance,
     SymbolNotInList,
     UnsortedCounters,
     VfcPolicy,
-    VfcRunState,
+    access_cost,
     derive_list,
-    fc_step,
-    frequency_count_reorganize,
-    mtf_step,
     naive_fc_step_costs,
     preprocess,
     run_algorithm,
-    trans_step,
     vfc_lookahead_size,
-    vfc_step,
 )
 
 from _textgen import surrogate_corpus
@@ -35,14 +29,25 @@ def state(order, freq=None):
     return ListState.from_order(order, freq)
 
 
+def first_step(kind, s, sequence, model=FULL, policy=LITERAL):
+    """The step that serves ``sequence[0]`` from ``s``. Lookahead reads only
+    forward, so the step at cursor c of a sequence is the first step of its
+    suffix ``sequence[c:]``."""
+    return run_algorithm(kind, s, sequence, model, policy, snapshots=True).steps[0]
+
+
+def counters_after(step):
+    return dict(zip(step.list_after, step.freq_after))
+
+
 class TestMtf:
     def test_moves_request_to_front(self):
-        new, cost = mtf_step(state([1, 2, 3]), 3, FULL)
-        assert (new.order, cost) == ([3, 1, 2], 3)
+        step = first_step(AlgorithmKind.MTF, state([1, 2, 3]), (3,))
+        assert (step.list_after, step.cost_charged) == ((3, 1, 2), 3)
 
     def test_head_access_is_fixpoint(self):
-        new, cost = mtf_step(state([1, 2, 3]), 1, FULL)
-        assert (new.order, cost) == ([1, 2, 3], 1)
+        step = first_step(AlgorithmKind.MTF, state([1, 2, 3]), (1,))
+        assert (step.list_after, step.cost_charged) == ((1, 2, 3), 1)
 
     def test_full_run_total(self):
         # step costs 1,2,1,3,1,1 by direct simulation
@@ -59,38 +64,41 @@ class TestMtf:
 
 class TestTrans:
     def test_swaps_with_predecessor(self):
-        new, cost = trans_step(state([1, 2, 3]), 3, FULL)
-        assert (new.order, cost) == ([1, 3, 2], 3)
+        step = first_step(AlgorithmKind.TRANS, state([1, 2, 3]), (3,))
+        assert (step.list_after, step.cost_charged) == ((1, 3, 2), 3)
 
     def test_head_has_no_predecessor(self):
-        new, cost = trans_step(state([1, 2, 3]), 1, FULL)
-        assert (new.order, cost) == ([1, 2, 3], 1)
+        step = first_step(AlgorithmKind.TRANS, state([1, 2, 3]), (1,))
+        assert (step.list_after, step.cost_charged) == ((1, 2, 3), 1)
 
     def test_partial_cost(self):
-        new, cost = trans_step(state([2, 1, 3]), 3, PARTIAL)
-        assert (new.order, cost) == ([2, 3, 1], 2)
+        step = first_step(AlgorithmKind.TRANS, state([2, 1, 3]), (3,), PARTIAL)
+        assert (step.list_after, step.cost_charged) == ((2, 3, 1), 2)
 
 
 class TestReorganize:
+    """FC's placement after the accessed counter is bumped; each case starts
+    one below the bumped counter and serves the accessed symbol once."""
+
     def test_tie_with_self_successor_blocks_move(self):
-        s = state([1, 2, 3], (1, 1, 0))
-        assert frequency_count_reorganize(s, 2).order == [1, 2, 3]
+        s = state([1, 2, 3], (1, 0, 0))
+        assert first_step(AlgorithmKind.FC, s, (2,)).list_after == (1, 2, 3)
 
     def test_strictly_greater_moves_to_front(self):
-        s = state([1, 2, 3], (1, 2, 0))
-        assert frequency_count_reorganize(s, 2).order == [2, 1, 3]
+        s = state([1, 2, 3], (1, 1, 0))
+        assert first_step(AlgorithmKind.FC, s, (2,)).list_after == (2, 1, 3)
 
     def test_tie_with_smaller_successor_jumps_ahead(self):
-        s = state([2, 1, 3], {2: 2, 1: 1, 3: 2})
-        assert frequency_count_reorganize(s, 3).order == [3, 2, 1]
+        s = state([2, 1, 3], {2: 2, 1: 1, 3: 1})
+        assert first_step(AlgorithmKind.FC, s, (3,)).list_after == (3, 2, 1)
 
     def test_absent_symbol(self):
         with pytest.raises(SymbolNotInList):
-            frequency_count_reorganize(state([1, 2]), 7)
+            run_algorithm(AlgorithmKind.FC, state([1, 2]), (7,))
 
     def test_input_not_mutated(self):
-        s = state([1, 2, 3], (1, 2, 0))
-        frequency_count_reorganize(s, 2)
+        s = state([1, 2, 3], (1, 1, 0))
+        run_algorithm(AlgorithmKind.FC, s, (2,))
         assert s.order == [1, 2, 3]
 
 
@@ -116,9 +124,9 @@ class TestFc:
 
     def test_step_returns_new_state(self):
         s = state([1, 2, 3])
-        new, cost = fc_step(s, 2, FULL)
-        assert cost == 2
-        assert new.freq[2] == 1
+        step = first_step(AlgorithmKind.FC, s, (2,))
+        assert step.cost_charged == 2
+        assert counters_after(step)[2] == 1
         assert s.freq[2] == 0
 
 
@@ -134,49 +142,41 @@ class TestLookaheadSize:
 
 class TestVfcStep:
     def test_batch_consumes_window(self):
-        run = VfcRunState(state([1, 2, 3], (1, 0, 0)), 1, 1)
-        new, cost, consumed = vfc_step(run, (1, 2, 2, 3, 3, 3), FULL, LITERAL)
-        assert (cost, consumed) == (3, 2)
-        assert new.list_state.order == [2, 1, 3]
-        assert new.list_state.freq[2] == 2
-        assert new.cursor == 3
-        assert new.head_freq == 2
+        seq, cursor = (1, 2, 2, 3, 3, 3), 1
+        step = first_step(AlgorithmKind.VFC, state([1, 2, 3], (1, 0, 0)), seq[cursor:], FULL, LITERAL)
+        assert (step.cost_charged, step.requests_consumed) == (3, 2)
+        assert step.list_after == (2, 1, 3)
+        assert counters_after(step)[2] == 2
+        assert cursor + step.requests_consumed == 3
+        assert step.freq_after[0] == 2
 
     def test_second_batch_reaches_final_configuration(self):
-        run = VfcRunState(state([2, 1, 3], {2: 2, 1: 1, 3: 0}), 3, 2)
-        new, cost, consumed = vfc_step(run, (1, 2, 2, 3, 3, 3), FULL, LITERAL)
-        assert (cost, consumed) == (5, 3)
-        assert new.list_state.order == [3, 2, 1]
-        assert new.list_state.frequencies_in_order() == (3, 2, 1)
+        seq, cursor = (1, 2, 2, 3, 3, 3), 3
+        s = state([2, 1, 3], {2: 2, 1: 1, 3: 0})
+        step = first_step(AlgorithmKind.VFC, s, seq[cursor:], FULL, LITERAL)
+        assert (step.cost_charged, step.requests_consumed) == (5, 3)
+        assert step.list_after == (3, 2, 1)
+        assert step.freq_after == (3, 2, 1)
 
     def test_empty_window_falls_back_to_normal_service(self):
-        run = VfcRunState(state([1, 2], (1, 0)), 2, 1)
-        new, cost, consumed = vfc_step(run, (1, 1, 2), FULL, LITERAL)
-        assert (cost, consumed) == (2, 1)
-        assert new.list_state.freq[2] == 1
+        seq, cursor = (1, 1, 2), 2
+        step = first_step(AlgorithmKind.VFC, state([1, 2], (1, 0)), seq[cursor:], FULL, LITERAL)
+        assert (step.cost_charged, step.requests_consumed) == (2, 1)
+        assert counters_after(step)[2] == 1
 
     def test_untriggered_window_serves_single_request(self):
         # window exists but never repeats the request
-        run = VfcRunState(state([1, 2], (1, 0)), 1, 1)
-        new, cost, consumed = vfc_step(run, (1, 2, 1), FULL, LITERAL)
-        assert (cost, consumed) == (2, 1)
+        seq, cursor = (1, 2, 1), 1
+        step = first_step(AlgorithmKind.VFC, state([1, 2], (1, 0)), seq[cursor:], FULL, LITERAL)
+        assert (step.cost_charged, step.requests_consumed) == (2, 1)
 
     def test_strict_rejects_heterogeneous_window(self):
-        st_run = VfcRunState(state([1, 2, 3], (2, 0, 0)), 2, 2)
-        seq = (1, 1, 2, 1, 2)
-        strict, cost_s, consumed_s = vfc_step(st_run, seq, FULL, STRICT)
-        assert consumed_s == 1
-        lit, cost_l, consumed_l = vfc_step(st_run, seq, FULL, LITERAL)
-        assert consumed_l == 3
-
-    def test_cursor_exhausted(self):
-        run = VfcRunState(state([1]), 1, 0)
-        with pytest.raises(CursorExhausted):
-            vfc_step(run, (1,), FULL)
-
-    def test_fresh_run_state(self):
-        run = VfcRunState.fresh(state([4, 5], (7, 1)))
-        assert (run.cursor, run.head_freq) == (0, 7)
+        seq, cursor = (1, 1, 2, 1, 2), 2
+        s = state([1, 2, 3], (2, 0, 0))
+        strict = first_step(AlgorithmKind.VFC, s, seq[cursor:], FULL, STRICT)
+        assert strict.requests_consumed == 1
+        literal = first_step(AlgorithmKind.VFC, s, seq[cursor:], FULL, LITERAL)
+        assert literal.requests_consumed == 3
 
 
 class TestRunAlgorithm:
@@ -220,10 +220,10 @@ class TestRunAlgorithm:
 
 
 @st.composite
-def small_instance(draw):
-    m = draw(st.integers(min_value=1, max_value=4))
+def small_instance(draw, max_m=4, max_n=24):
+    m = draw(st.integers(min_value=1, max_value=max_m))
     order = list(draw(st.permutations(range(m))))
-    n = draw(st.integers(min_value=0, max_value=24))
+    n = draw(st.integers(min_value=0, max_value=max_n))
     seq = draw(st.lists(st.sampled_from(order), min_size=n, max_size=n))
     return order, tuple(seq)
 
@@ -273,6 +273,29 @@ def test_counters_non_increasing_after_every_step(case, kind):
         assert all(freqs[i] >= freqs[i + 1] for i in range(len(freqs) - 1))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    small_instance(max_m=6, max_n=20),
+    st.sampled_from(list(AlgorithmKind)),
+    st.sampled_from([LITERAL, STRICT]),
+    st.sampled_from([FULL, PARTIAL]),
+)
+def test_steps_move_only_the_request_forward(case, kind, policy, model):
+    """Every step is charged at the request's position in the list it found,
+    and reorganizes by a free exchange: the request moves toward the front,
+    and every other symbol keeps its relative order."""
+    order, seq = case
+    before = tuple(order)
+    for step in run_algorithm(kind, state(order), seq, model, policy, snapshots=True).steps:
+        position = before.index(step.request) + 1
+        assert step.position_before == position
+        assert step.cost_charged == access_cost(model, position) + step.requests_consumed - 1
+        after = step.list_after
+        assert after.index(step.request) <= position - 1
+        assert [s for s in after if s != step.request] == [s for s in before if s != step.request]
+        before = after
+
+
 class TestUnsortedCounters:
     """FC and VFC place by binary search, which needs counters that never
     increase along the list; MTF and TRANS never read counters."""
@@ -289,11 +312,12 @@ class TestUnsortedCounters:
 
     def test_single_steps_reject(self):
         with pytest.raises(UnsortedCounters):
-            fc_step(state([1, 2, 3], self.RISING), 1)
+            run_algorithm(AlgorithmKind.FC, state([1, 2, 3], self.RISING), (1,))
         with pytest.raises(UnsortedCounters):
-            vfc_step(VfcRunState(state([1, 2, 3], self.RISING), 0, 0), (1, 1))
+            run_algorithm(AlgorithmKind.VFC, state([1, 2, 3], self.RISING), (1, 1))
         with pytest.raises(UnsortedCounters):
-            frequency_count_reorganize(state([1, 2, 3, 4], (0, 3, 1, 5)), 4)
+            # rising ahead of the accessed element, whatever its own counter
+            run_algorithm(AlgorithmKind.FC, state([1, 2, 3, 4], (0, 3, 1, 4)), (4,))
 
     @pytest.mark.parametrize("kind,total", [(AlgorithmKind.MTF, 3 + 2), (AlgorithmKind.TRANS, 3 + 1)])
     def test_mtf_and_trans_accept(self, kind, total):

@@ -3,10 +3,12 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from listlab import AlgorithmKind, CostModel, derive_list, preprocess, rows_from_csv, rows_to_csv, run_algorithm
 from listlab.cli import DEMO_NAME, DEMO_SEQUENCE, main
+from listlab.report import CSV_HEADER
 
 
 def run_cli(argv):
@@ -14,6 +16,55 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+class TestVerify:
+    def test_small_bounds_pass_every_check(self):
+        code, out, _ = run_cli(["verify", "--max-list-size", "2", "--max-seq-len", "3"])
+        assert code == 0
+        passes = [line for line in out.splitlines() if line.startswith("PASS ")]
+        assert len(passes) == 7
+        assert all(line.endswith("(15 instances)") for line in passes)
+
+    def test_bounds_beyond_enumeration_are_a_config_error(self):
+        code, _, err = run_cli(["verify", "--max-list-size", "5"])
+        assert code == 1
+        assert "list size 5" in err
+
+
+def test_trace_prints_batched_step():
+    code, out, _ = run_cli(["run", "--demo", "--algos", "vfc", "--trace"])
+    assert code == 0
+    assert "step=2 request=2 pos=2 cost=3 consumed=2" in out.splitlines()
+
+
+class TestChart:
+    def test_one_bar_per_input_and_algorithm(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"abcabcaab")
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        argv = ["run", str(tmp_path / "a"), "--demo", "--algos", "mtf,fc,vfc", "--csv", str(csv_path)]
+        assert run_cli(argv)[0] == 0
+        code, _, _ = run_cli(["chart", "--from-csv", str(csv_path), "--out", str(svg_path)])
+        assert code == 0
+        assert svg_path.read_text(encoding="utf-8").count('class="bar"') == 2 * 3
+
+    def test_header_only_csv_is_a_config_error(self, tmp_path):
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+        code, _, err = run_cli(["chart", "--from-csv", str(csv_path), "--out", str(tmp_path / "x.svg")])
+        assert code == 1
+        assert "no rows to chart" in err
+
+
+@pytest.mark.parametrize("token", ["100", "-1", "zz"])
+@pytest.mark.parametrize("with_file", [False, True])
+def test_strip_bytes_must_be_hex_bytes(tmp_path, token, with_file):
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"hello")
+    files = [str(path)] if with_file else []
+    code, _, err = run_cli(["run", "--demo", *files, f"--strip-bytes={token}"])
+    assert code == 1
+    assert "--strip-bytes" in err and repr(token) in err
 
 
 class TestGenerate:

@@ -1,16 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from listlab import (
-    BackwardMove,
-    CostModel,
-    ListState,
-    PositionOutOfRange,
-    SymbolNotInList,
-    access_cost,
-    move_forward,
-    position_of,
-)
+from listlab import CostModel, ListState, PositionOutOfRange, access_cost
 
 FULL = CostModel.FULL
 PARTIAL = CostModel.PARTIAL
@@ -47,21 +38,6 @@ class TestListState:
         assert s.freq[1] == 0
 
 
-class TestPositionOf:
-    def test_head_element(self):
-        assert position_of(state([1, 2, 3]), 1) == 1
-
-    def test_tail_element(self):
-        assert position_of(state([1, 2, 3]), 3) == 3
-
-    def test_reversed_list(self):
-        assert position_of(state([3, 2, 1]), 1) == 3
-
-    def test_absent_symbol(self):
-        with pytest.raises(SymbolNotInList):
-            position_of(state([1, 2, 3]), 4)
-
-
 class TestAccessCost:
     @pytest.mark.parametrize(
         "model,position,expected",
@@ -82,64 +58,3 @@ class TestAccessCost:
     def test_strictly_increasing(self, position):
         for model in (FULL, PARTIAL):
             assert access_cost(model, position + 1) > access_cost(model, position)
-
-
-class TestMoveForward:
-    def test_adjacent_swap(self):
-        assert move_forward(state([1, 2, 3]), 2, 1).order == [2, 1, 3]
-
-    def test_identity_move(self):
-        assert move_forward(state([1, 2, 3]), 3, 3).order == [1, 2, 3]
-
-    def test_long_jump(self):
-        assert move_forward(state([2, 1, 3]), 3, 1).order == [3, 2, 1]
-
-    def test_backward_move_rejected(self):
-        with pytest.raises(BackwardMove):
-            move_forward(state([1, 2, 3]), 1, 2)
-
-    @pytest.mark.parametrize("from_pos,to_pos", [(0, 1), (4, 1), (2, 0), (2, 4)])
-    def test_out_of_range(self, from_pos, to_pos):
-        with pytest.raises(PositionOutOfRange):
-            move_forward(state([1, 2, 3]), from_pos, to_pos)
-
-    def test_does_not_mutate_input(self):
-        s = state([1, 2, 3])
-        move_forward(s, 3, 1)
-        assert s.order == [1, 2, 3]
-
-
-@st.composite
-def list_and_move(draw):
-    m = draw(st.integers(min_value=1, max_value=8))
-    symbols = draw(st.permutations(range(m)))
-    from_pos = draw(st.integers(min_value=1, max_value=m))
-    to_pos = draw(st.integers(min_value=1, max_value=from_pos))
-    return list(symbols), from_pos, to_pos
-
-
-@given(list_and_move())
-def test_move_preserves_membership(case):
-    symbols, from_pos, to_pos = case
-    before = state(symbols)
-    after = move_forward(before, from_pos, to_pos)
-    assert sorted(after.order) == sorted(symbols)
-    assert after.freq == before.freq
-
-
-@given(list_and_move())
-def test_move_round_trip(case):
-    symbols, from_pos, to_pos = case
-    s = state(symbols)
-    moved = move_forward(s, position_of(s, symbols[from_pos - 1]), to_pos)
-    assert position_of(moved, symbols[from_pos - 1]) == to_pos
-
-
-@given(list_and_move())
-def test_move_shifts_displaced_elements_back_by_one(case):
-    symbols, from_pos, to_pos = case
-    after = move_forward(state(symbols), from_pos, to_pos).order
-    for p in range(to_pos, from_pos):
-        assert after[p] == symbols[p - 1]
-    for p in list(range(1, to_pos)) + list(range(from_pos + 1, len(symbols) + 1)):
-        assert after[p - 1] == symbols[p - 1]

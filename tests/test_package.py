@@ -1,3 +1,5 @@
+import types
+
 import listlab
 
 
@@ -9,3 +11,12 @@ def test_every_exported_name_resolves():
 
 def test_verifier_and_engine_errors_are_exported():
     assert {"verify_engines", "UnsortedCounters"} <= set(listlab.__all__)
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(listlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(listlab.__all__) == public

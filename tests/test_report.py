@@ -49,6 +49,13 @@ class TestCsv:
         with pytest.raises(ValueError):
             rows_from_csv("")
 
+    @pytest.mark.parametrize("fields", [3, 7])
+    def test_rejects_wrong_field_count_with_line_number(self, fields):
+        lines = rows_to_csv(sample_rows()).splitlines()
+        lines.insert(2, ",".join(["1"] * fields))
+        with pytest.raises(ValueError, match=f"CSV line 3 has {fields} fields, expected 6"):
+            rows_from_csv("\n".join(lines) + "\n")
+
 
 class TestTable:
     def test_contains_all_costs(self):
