@@ -84,15 +84,16 @@ class VfcPolicy(Enum):
 
 @dataclass
 class RunReport:
-    """Trace and total access cost of one engine run."""
+    """Trace and total access cost of one engine run.
 
-    algorithm: AlgorithmKind
-    cost_model: CostModel
-    n_requests: int
+    ``label`` names the engine that ran: ``mtf``, ``trans``, ``fc``,
+    ``vfc[literal]`` or ``vfc[strict]``; every output keys its totals by it.
+    """
+
+    label: str
     total_cost: int
     steps: list[StepRecord]
     final_state: ListState
-    policy: VfcPolicy | None = None
 
     @property
     def step_costs(self) -> list[int]:
@@ -236,12 +237,5 @@ def run_algorithm(
             steps.append(record)
         cursor += consumed
 
-    return RunReport(
-        algorithm=kind,
-        cost_model=model,
-        n_requests=n,
-        total_cost=total,
-        steps=steps,
-        final_state=work,
-        policy=policy if kind is AlgorithmKind.VFC else None,
-    )
+    label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
+    return RunReport(label, total, steps, work)

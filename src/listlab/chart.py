@@ -10,6 +10,8 @@ from .listcore import ListLabError
 from .report import ComparisonRow
 
 PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#b279a2")
+TITLE = "Total access cost by input"
+WIDTH, HEIGHT = 900, 420
 
 
 class EmptyReport(ListLabError):
@@ -29,19 +31,14 @@ def _tick_step(maximum: int) -> int:
     return step
 
 
-def render_bar_chart(
-    rows: list[ComparisonRow],
-    title: str = "Total access cost by input",
-    width: int = 900,
-    height: int = 420,
-) -> str:
+def render_bar_chart(rows: list[ComparisonRow]) -> str:
     """One bar group per row, one bar per algorithm, labeled axes."""
     if not rows:
         raise EmptyReport("no rows to chart")
     algos = list(rows[0].costs)
     top, bottom, left, right = 50, 64, 72, 24
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
 
     max_cost = max((max(r.costs.values(), default=0) for r in rows), default=0)
     step = _tick_step(max(max_cost, 1))
@@ -52,9 +49,9 @@ def render_bar_chart(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{escape(TITLE)}</text>',
     ]
 
     # y grid, ticks and axis label
@@ -62,7 +59,7 @@ def render_bar_chart(
     while tick <= y_max:
         y = y_of(tick)
         parts.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
+            f'<line x1="{left}" y1="{y:.2f}" x2="{WIDTH - right}" y2="{y:.2f}" '
             'stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
@@ -96,11 +93,11 @@ def render_bar_chart(
 
     # x axis line and legend
     parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{width - right}" y2="{top + plot_h}" '
+        f'<line x1="{left}" y1="{top + plot_h}" x2="{WIDTH - right}" y2="{top + plot_h}" '
         'stroke="#333333" stroke-width="1"/>'
     )
     legend_x = left
-    legend_y = height - 22
+    legend_y = HEIGHT - 22
     for a, algo in enumerate(algos):
         parts.append(
             f'<rect x="{legend_x}" y="{legend_y - 10}" width="12" height="12" '

@@ -71,21 +71,18 @@ class ListState:
                 raise ValueError(f"symbol {s!r} needs a non-negative counter entry")
 
     @classmethod
-    def from_order(
-        cls,
-        order: Iterable[Symbol],
-        freq: Mapping[Symbol, int] | Sequence[int] | None = None,
-    ) -> "ListState":
+    def from_order(cls, order: Iterable[Symbol], freq: Sequence[int] | None = None) -> "ListState":
         """Build a state from front-to-back symbols.
 
-        ``freq`` may be a mapping, a per-position sequence aligned with
-        ``order``, or None for all-zero counters.
+        ``freq`` is a per-position sequence of counters aligned with
+        ``order``, or None for all-zero counters. To give the counters as a
+        symbol-to-counter dict, call ``ListState(order, freq)`` directly.
         """
+        if isinstance(freq, Mapping):
+            raise TypeError("from_order takes counters by position; give a dict to ListState(order, freq)")
         symbols = list(order)
         if freq is None:
             counters = dict.fromkeys(symbols, 0)
-        elif isinstance(freq, Mapping):
-            counters = dict(freq)
         else:
             counters = dict(zip(symbols, freq, strict=True))
         return cls(symbols, counters)

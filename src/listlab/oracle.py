@@ -36,6 +36,8 @@ MAX_INSTANCE_LIST = 5
 MAX_INSTANCE_SEQ = 10
 MAX_ENUM_LIST = 4
 MAX_ENUM_SEQ = 8
+# counterexamples kept per check; later ones are dropped
+FAILURE_LIMIT = 5
 
 
 class InstanceTooLarge(ListLabError):
@@ -185,7 +187,6 @@ def verify_engines(
     max_list_size: int = 3,
     max_seq_len: int = 6,
     model: CostModel = CostModel.FULL,
-    failure_limit: int = 5,
 ) -> VerificationReport:
     """Exhaustive cross-check of every engine against the oracles.
 
@@ -214,7 +215,7 @@ def verify_engines(
 
     def record(name: str, instance: SmallInstance, detail: str) -> None:
         failures = checks[name].failures
-        if len(failures) < failure_limit:
+        if len(failures) < FAILURE_LIMIT:
             failures.append(_describe(instance, detail))
 
     total_instances = 0
@@ -250,7 +251,7 @@ def verify_engines(
                 record(
                     "opt-dominates-engines",
                     instance,
-                    f"{_label(report)} total {report.total_cost} < opt {opt}",
+                    f"{report.label} total {report.total_cost} < opt {opt}",
                 )
 
         if full:
@@ -264,12 +265,12 @@ def verify_engines(
                     record(
                         "full-model-lower-bound",
                         instance,
-                        f"{_label(report)} total {report.total_cost} < n {n}",
+                        f"{report.label} total {report.total_cost} < n {n}",
                     )
 
         checks["fc-vfc-conservation"].instances += 1
         for report in (fc, vfc_lit, vfc_strict):
-            label = _label(report)
+            label = report.label
             if sum(report.final_state.freq.values()) != n:
                 record("fc-vfc-conservation", instance, f"{label} counter sum != {n}")
             if sorted(report.final_state.order) != sorted(instance.order):
@@ -285,7 +286,7 @@ def verify_engines(
                     record(
                         "frequencies-non-increasing",
                         instance,
-                        f"{_label(report)} counters {freqs} after serving {step.request}",
+                        f"{report.label} counters {freqs} after serving {step.request}",
                     )
                     break
 
@@ -300,7 +301,7 @@ def verify_engines(
                     record(
                         "batch-promotes-to-head",
                         instance,
-                        f"{_label(report)} batch on {step.request} left head {step.list_after[0]}",
+                        f"{report.label} batch on {step.request} left head {step.list_after[0]}",
                     )
 
     return VerificationReport(list(checks.values()), total_instances)
@@ -315,9 +316,3 @@ def _swallowed_anything(report: RunReport, sequence: tuple[Symbol, ...]) -> bool
         if step.requests_consumed > 1 and block.count(step.request) != len(block):
             return True
     return False
-
-
-def _label(report: RunReport) -> str:
-    if report.algorithm is AlgorithmKind.VFC:
-        return f"vfc[{report.policy.value}]"
-    return report.algorithm.value

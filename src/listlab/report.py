@@ -2,11 +2,16 @@
 
 The CSV is long form, one line per (input, algorithm) pair, with header
 ``file,n,list_size,algo,cost_model,total_cost``, UTF-8, LF line endings.
-Parsing an emitted document reproduces the rows exactly.
+``algo`` holds the engine label of :class:`~listlab.RunReport`: ``mtf``,
+``trans``, ``fc``, ``vfc[literal]`` or ``vfc[strict]``, so the two VFC
+policies never share a column. Parsing an emitted document reproduces the
+rows exactly. A count that is not a non-negative integer, or an unknown
+cost model, is rejected with its line number.
 """
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 
 from .listcore import CostModel
@@ -36,6 +41,12 @@ def rows_to_csv(rows: list[ComparisonRow]) -> str:
     return buf.getvalue()
 
 
+def _count(name: str, value: str) -> int:
+    if not re.fullmatch("[0-9]+", value):
+        raise ValueError(f"{name} {value!r} is not a non-negative integer")
+    return int(value)
+
+
 def rows_from_csv(text: str) -> list[ComparisonRow]:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -51,10 +62,14 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
         if len(line) != len(CSV_HEADER):
             raise ValueError(f"CSV line {reader.line_num} has {len(line)} fields, expected {len(CSV_HEADER)}")
         file, n, list_size, algo, model, total = line
-        key = (file, int(n), int(list_size), CostModel(model))
+        try:
+            key = (file, _count("n", n), _count("list_size", list_size), CostModel(model))
+            cost = _count("total_cost", total)
+        except ValueError as err:
+            raise ValueError(f"CSV line {reader.line_num}: {err}") from None
         if not rows or (rows[-1].file, rows[-1].n, rows[-1].list_size, rows[-1].cost_model) != key:
-            rows.append(ComparisonRow(file, int(n), int(list_size), CostModel(model), {}))
-        rows[-1].costs[algo] = int(total)
+            rows.append(ComparisonRow(*key, {}))
+        rows[-1].costs[algo] = cost
     return rows
 
 

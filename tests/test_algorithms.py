@@ -89,7 +89,7 @@ class TestReorganize:
         assert first_step(AlgorithmKind.FC, s, (2,)).list_after == (2, 1, 3)
 
     def test_tie_with_smaller_successor_jumps_ahead(self):
-        s = state([2, 1, 3], {2: 2, 1: 1, 3: 1})
+        s = ListState([2, 1, 3], {2: 2, 1: 1, 3: 1})
         assert first_step(AlgorithmKind.FC, s, (3,)).list_after == (3, 2, 1)
 
     def test_absent_symbol(self):
@@ -152,7 +152,7 @@ class TestVfcStep:
 
     def test_second_batch_reaches_final_configuration(self):
         seq, cursor = (1, 2, 2, 3, 3, 3), 3
-        s = state([2, 1, 3], {2: 2, 1: 1, 3: 0})
+        s = ListState([2, 1, 3], {2: 2, 1: 1, 3: 0})
         step = first_step(AlgorithmKind.VFC, s, seq[cursor:], FULL, LITERAL)
         assert (step.cost_charged, step.requests_consumed) == (5, 3)
         assert step.list_after == (3, 2, 1)
@@ -217,6 +217,11 @@ class TestRunAlgorithm:
         report = run_algorithm(AlgorithmKind.FC, state([1, 2]), (2, 2, 1), keep_trace=False)
         assert report.steps == []
         assert report.total_cost > 0
+
+    def test_labels_name_the_engine_and_vfc_policy(self):
+        configurations = [(kind, LITERAL) for kind in AlgorithmKind] + [(AlgorithmKind.VFC, STRICT)]
+        reports = [run_algorithm(kind, state([1, 2]), (2, 1), FULL, policy) for kind, policy in configurations]
+        assert {report.label for report in reports} == {"mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"}
 
 
 @st.composite

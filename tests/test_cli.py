@@ -36,6 +36,33 @@ def test_trace_prints_batched_step():
     code, out, _ = run_cli(["run", "--demo", "--algos", "vfc", "--trace"])
     assert code == 0
     assert "step=2 request=2 pos=2 cost=3 consumed=2" in out.splitlines()
+    assert "# trace file=demo algo=vfc[literal]" in out.splitlines()
+
+
+class TestLabels:
+    def test_strict_vfc_is_labelled_by_its_policy(self, tmp_path):
+        csv_path = tmp_path / "o.csv"
+        argv = ["run", "--demo", "--algos", "fc,vfc", "--vfc-policy", "strict", "--csv", str(csv_path)]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        (row,) = rows_from_csv(csv_path.read_text(encoding="utf-8"))
+        assert list(row.costs) == ["fc", "vfc[strict]"]
+        assert "vfc[strict] cost" in out.splitlines()[0]
+
+    def test_default_run_labels_literal_vfc(self, tmp_path):
+        csv_path = tmp_path / "o.csv"
+        assert run_cli(["run", "--demo", "--csv", str(csv_path)])[0] == 0
+        (row,) = rows_from_csv(csv_path.read_text(encoding="utf-8"))
+        assert list(row.costs) == ["mtf", "trans", "fc", "vfc[literal]"]
+
+
+def test_default_strip_bytes_are_the_preprocessing_default(tmp_path):
+    data = b"a b\r\nc\t"
+    path, csv_path = tmp_path / "s.txt", tmp_path / "o.csv"
+    path.write_bytes(data)
+    assert run_cli(["run", str(path), "--algos", "fc", "--csv", str(csv_path)])[0] == 0
+    (row,) = rows_from_csv(csv_path.read_text(encoding="utf-8"))
+    assert row.n == len(preprocess(data)) == 4
 
 
 class TestChart:
@@ -54,6 +81,14 @@ class TestChart:
         code, _, err = run_cli(["chart", "--from-csv", str(csv_path), "--out", str(tmp_path / "x.svg")])
         assert code == 1
         assert "no rows to chart" in err
+
+    def test_negative_total_is_a_config_error_and_writes_no_svg(self, tmp_path):
+        csv_path, svg_path = tmp_path / "neg.csv", tmp_path / "neg.svg"
+        csv_path.write_text(",".join(CSV_HEADER) + "\na,1,2,fc,full,-3\n", encoding="utf-8")
+        code, _, err = run_cli(["chart", "--from-csv", str(csv_path), "--out", str(svg_path)])
+        assert code == 1
+        assert "CSV line 2: total_cost '-3'" in err
+        assert not svg_path.exists()
 
 
 @pytest.mark.parametrize("token", ["100", "-1", "zz"])

@@ -18,7 +18,7 @@ class TestListState:
 
     def test_rejects_negative_counter(self):
         with pytest.raises(ValueError):
-            state([1, 2], {1: 0, 2: -1})
+            ListState([1, 2], {1: 0, 2: -1})
 
     def test_rejects_missing_counter(self):
         with pytest.raises(ValueError):
@@ -28,6 +28,11 @@ class TestListState:
         s = state([5, 6, 7], (3, 1, 0))
         assert s.freq == {5: 3, 6: 1, 7: 0}
         assert s.frequencies_in_order() == (3, 1, 0)
+
+    def test_from_order_refuses_counters_keyed_by_symbol(self):
+        # a dict would otherwise be zipped by its keys, as if they were counters
+        with pytest.raises(TypeError):
+            state([5, 6], {5: 1, 6: 0})
 
     def test_copy_is_independent(self):
         s = state([1, 2, 3])

@@ -56,6 +56,30 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"CSV line 3 has {fields} fields, expected 6"):
             rows_from_csv("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("a,-1,2,fc,full,3", "n '-1' is not a non-negative integer"),
+            ("a,1,-2,fc,full,3", "list_size '-2' is not a non-negative integer"),
+            ("a,1,2,fc,full,-3", "total_cost '-3' is not a non-negative integer"),
+            ("a,x,2,fc,full,3", "n 'x' is not a non-negative integer"),
+            ("a,1,2.5,fc,full,3", "list_size '2.5' is not a non-negative integer"),
+            ("a,1,2,fc,full,", "total_cost '' is not a non-negative integer"),
+            ("a,1,2,fc,bogus,3", "'bogus' is not a valid CostModel"),
+        ],
+        ids=["negative-n", "negative-list-size", "negative-total", "text-n", "float-list-size", "empty-total", "model"],
+    )
+    def test_rejects_bad_field_with_line_number(self, row, message):
+        lines = rows_to_csv(sample_rows()).splitlines()
+        lines.insert(2, row)
+        with pytest.raises(ValueError) as exc:
+            rows_from_csv("\n".join(lines) + "\n")
+        assert str(exc.value) == f"CSV line 3: {message}"
+
+    def test_zero_counts_parse(self):
+        rows = [ComparisonRow("empty", 0, 0, CostModel.FULL, {"fc": 0})]
+        assert rows_from_csv(rows_to_csv(rows)) == rows
+
 
 class TestTable:
     def test_contains_all_costs(self):
