@@ -7,7 +7,7 @@ identical rows always produce byte-identical output.
 from xml.sax.saxutils import escape
 
 from .listcore import ListLabError
-from .report import ComparisonRow
+from .report import ComparisonRow, algo_labels
 
 PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#b279a2")
 TITLE = "Total access cost by input"
@@ -32,10 +32,10 @@ def _tick_step(maximum: int) -> int:
 
 
 def render_bar_chart(rows: list[ComparisonRow]) -> str:
-    """One bar group per row, one bar per algorithm, labeled axes."""
+    """One bar group per row, one bar slot per algorithm, labeled axes."""
     if not rows:
         raise EmptyReport("no rows to chart")
-    algos = list(rows[0].costs)
+    algos = algo_labels(rows)
     top, bottom, left, right = 50, 64, 72, 24
     plot_w = WIDTH - left - right
     plot_h = HEIGHT - top - bottom
@@ -77,9 +77,10 @@ def render_bar_chart(rows: list[ComparisonRow]) -> str:
     for g, row in enumerate(rows):
         group_x = left + g * group_w
         for a, algo in enumerate(algos):
-            value = row.costs.get(algo, 0)
+            if algo not in row.costs:
+                continue
             x = group_x + group_w * 0.1 + a * bar_w
-            y = y_of(value)
+            y = y_of(row.costs[algo])
             parts.append(
                 f'<rect class="bar" data-file="{escape(row.file)}" data-algo="{escape(algo)}" '
                 f'x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{top + plot_h - y:.2f}" '

@@ -32,7 +32,7 @@ from .corpus import (
     preprocess,
 )
 from .listcore import CostModel, ListLabError, RequestSequence
-from .oracle import verify_engines
+from .oracle import MAX_ENUM_LIST, MAX_ENUM_SEQ, verify_engines
 from .report import ComparisonRow, format_table, rows_from_csv, rows_to_csv
 
 EXIT_OK = 0
@@ -77,8 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     chart.add_argument("--out", required=True, metavar="PATH")
 
     verify = sub.add_parser("verify", help="cross-check engines against the oracles")
-    verify.add_argument("--max-list-size", type=int, default=3)
-    verify.add_argument("--max-seq-len", type=int, default=6)
+    size_help = f"list size m, 1..{MAX_ENUM_LIST}; every instance starts from the list 1..m (%(default)s)"
+    verify.add_argument("--max-list-size", type=int, default=3, help=size_help)
+    length_help = f"longest request sequence, 0..{MAX_ENUM_SEQ}; all shorter ones are checked too (%(default)s)"
+    verify.add_argument("--max-seq-len", type=int, default=6, help=length_help)
     verify.add_argument("--cost-model", choices=["full", "partial"], default="full")
 
     return parser

@@ -2,15 +2,15 @@
 
 ``naive_fc_step_costs`` re-implements the frequency-count service loop
 directly over (symbol, counter) pairs; it shares no state or helpers with
-the engine it cross-checks. ``opt_free_exchange_cost`` is a memoized
-brute-force offline optimum restricted to free exchanges: after each access
-the accessed element may move to any position closer to the front at zero
-cost. The unrestricted optimum could also use paid exchanges and is never
-larger, so the value computed here upper-bounds it. That is the safe
-direction for every check in :func:`verify_engines`: the engines use free
-exchanges only, hence cost at least the free-exchange optimum, and the
-move-to-front bound ``MTF <= 2 * OPT`` only gets weaker when OPT is replaced
-by something at least as large.
+the engine it cross-checks. ``opt_free_exchange_cost`` is the offline
+optimum restricted to free exchanges (after each access the accessed element
+may move closer to the front at zero cost), computed by the forward dynamic
+program of Reingold & Westbrook (IPL 1996) over the reachable list orders.
+The unrestricted optimum could also use paid exchanges and is never larger,
+so the value computed here upper-bounds it. That is the safe direction for
+every check in :func:`verify_engines`: the engines use free exchanges only,
+hence cost at least the free-exchange optimum, and the move-to-front bound
+``MTF <= 2 * OPT`` only gets weaker when OPT is replaced by an upper bound.
 
 One deliberate exception: dominance over the optimum is a theorem only for
 engines that actually serve every request. A LITERAL-policy VFC batch may
@@ -74,10 +74,10 @@ def naive_fc_step_costs(instance: SmallInstance) -> list[int]:
     full = instance.model is CostModel.FULL
     entries: list[list[int]] = [[s, 0] for s in instance.order]
     costs: list[int] = []
-    for request in instance.sequence:
+    for index, request in enumerate(instance.sequence):
         k = next((i for i, e in enumerate(entries) if e[0] == request), None)
         if k is None:
-            raise SymbolNotInList(request)
+            raise SymbolNotInList(request, index)
         costs.append(k + 1 if full else k)
         entries[k][1] += 1
         f = entries[k][1]
@@ -97,36 +97,25 @@ def naive_fc_cost(instance: SmallInstance) -> int:
 def opt_free_exchange_cost(instance: SmallInstance) -> int:
     """Minimum total cost over all free-exchange serving strategies.
 
-    Memoized search over (list permutation, sequence index); counters are
-    irrelevant to the optimum and excluded from the key.
+    One pass over the requests; ``reach`` maps each list order some strategy
+    can hold after the requests so far to the least cost of reaching it.
     """
-    sequence = instance.sequence
-    model = instance.model
-    full = model is CostModel.FULL
-    n = len(sequence)
-    memo: dict[tuple[tuple[Symbol, ...], int], int] = {}
-
-    def best(order: tuple[Symbol, ...], k: int) -> int:
-        if k == n:
-            return 0
-        key = (order, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        request = sequence[k]
-        try:
-            p = order.index(request) + 1
-        except ValueError:
-            raise SymbolNotInList(request, k) from None
-        cost = p if full else p - 1
-        value = min(
-            best(order[:to] + (request,) + order[to : p - 1] + order[p:], k + 1)
-            for to in range(p)
-        )
-        memo[key] = cost + value
-        return cost + value
-
-    return best(instance.order, 0)
+    full = instance.model is CostModel.FULL
+    reach = {instance.order: 0}
+    for k, request in enumerate(instance.sequence):
+        if request not in instance.order:
+            raise SymbolNotInList(request, k)
+        after: dict[tuple[Symbol, ...], int] = {}
+        for order, cost in reach.items():
+            i = order.index(request)
+            cost += i + 1 if full else i
+            rest = order[:i] + order[i + 1 :]
+            for to in range(i + 1):
+                moved = rest[:to] + (request,) + rest[to:]
+                if cost < after.get(moved, cost + 1):
+                    after[moved] = cost
+        reach = after
+    return min(reach.values())
 
 
 def enumerate_instances(

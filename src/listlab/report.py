@@ -5,8 +5,8 @@ The CSV is long form, one line per (input, algorithm) pair, with header
 ``algo`` holds the engine label of :class:`~listlab.RunReport`: ``mtf``,
 ``trans``, ``fc``, ``vfc[literal]`` or ``vfc[strict]``, so the two VFC
 policies never share a column. Parsing an emitted document reproduces the
-rows exactly. A count that is not a non-negative integer, or an unknown
-cost model, is rejected with its line number.
+rows exactly. A count that is not a non-negative integer, an unknown cost
+model or an input's second total for one algo fails with its line number.
 """
 
 import csv
@@ -69,8 +69,15 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
             raise ValueError(f"CSV line {reader.line_num}: {err}") from None
         if not rows or (rows[-1].file, rows[-1].n, rows[-1].list_size, rows[-1].cost_model) != key:
             rows.append(ComparisonRow(*key, {}))
+        elif algo in rows[-1].costs:
+            raise ValueError(f"CSV line {reader.line_num}: repeated algo {algo!r} for file {file!r}")
         rows[-1].costs[algo] = cost
     return rows
+
+
+def algo_labels(rows: list[ComparisonRow]) -> list[str]:
+    """Every algo any row has a total for, in first-seen order."""
+    return list(dict.fromkeys(algo for row in rows for algo in row.costs))
 
 
 def format_table(rows: list[ComparisonRow]) -> str:
@@ -78,7 +85,7 @@ def format_table(rows: list[ComparisonRow]) -> str:
     algorithm."""
     if not rows:
         return "(no rows)\n"
-    algos = list(rows[0].costs)
+    algos = algo_labels(rows)
     headers = ["file", "requests", "list size"] + [f"{a} cost" for a in algos]
     table = [headers]
     for row in rows:

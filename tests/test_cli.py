@@ -90,6 +90,14 @@ class TestChart:
         assert "CSV line 2: total_cost '-3'" in err
         assert not svg_path.exists()
 
+    def test_repeated_pair_is_a_config_error_and_writes_no_svg(self, tmp_path):
+        csv_path, svg_path = tmp_path / "dup.csv", tmp_path / "dup.svg"
+        csv_path.write_text(",".join(CSV_HEADER) + "\na,1,2,fc,full,3\na,1,2,fc,full,5\n", encoding="utf-8")
+        code, _, err = run_cli(["chart", "--from-csv", str(csv_path), "--out", str(svg_path)])
+        assert code == 1
+        assert "CSV line 3: repeated algo 'fc'" in err
+        assert not svg_path.exists()
+
 
 @pytest.mark.parametrize("token", ["100", "-1", "zz"])
 @pytest.mark.parametrize("with_file", [False, True])

@@ -65,6 +65,38 @@ class TestOptFreeExchange:
         inst = SmallInstance((1, 2, 3), (3, 2, 1, 2, 3))
         assert opt_free_exchange_cost(inst) == opt_free_exchange_cost(inst)
 
+    @pytest.mark.parametrize("model", list(CostModel))
+    def test_matches_plain_search_over_every_strategy(self, model):
+        instances = list(enumerate_instances(3, 5, model))
+        assert len(instances) == 364
+        for inst in instances:
+            expected = plain_search_opt(inst.order, inst.sequence, model)
+            assert opt_free_exchange_cost(inst) == expected, inst
+
+
+def plain_search_opt(order, sequence, model):
+    """Reference optimum: try every free-exchange strategy, with no memo.
+    Serve the first request at its position, reinsert it at any index up to
+    its old one, and recurse on the rest of the sequence."""
+    if not sequence:
+        return 0
+    request, rest = sequence[0], sequence[1:]
+    i = order.index(request)
+    cost = i + 1 if model is CostModel.FULL else i
+    others = order[:i] + order[i + 1 :]
+    return cost + min(
+        plain_search_opt(others[:to] + (request,) + others[to:], rest, model) for to in range(i + 1)
+    )
+
+
+@pytest.mark.parametrize("oracle", [opt_free_exchange_cost, naive_fc_cost])
+@pytest.mark.parametrize("sequence,index", [((3, 1), 0), ((1, 2, 1, 3, 2), 3)])
+def test_absent_request_names_its_index(oracle, sequence, index):
+    with pytest.raises(SymbolNotInList) as info:
+        oracle(SmallInstance((1, 2), sequence))
+    assert info.value.symbol == 3
+    assert info.value.request_index == index
+
 
 class TestBounds:
     def test_instance_list_too_large(self):
@@ -141,6 +173,20 @@ class TestLiteralBatchUndercut:
             AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS
         )
         assert strict.total_cost >= opt_free_exchange_cost(inst)
+
+
+def test_literal_vfc_can_cost_more_than_fc():
+    """The abstract says VFC performs better than FC. Literal VFC does not on
+    this sequence; strict VFC ties FC and the optimum."""
+    inst = SmallInstance((1, 2, 3, 4), (1, 1, 2, 1, 2, 1, 3, 1))
+    state = inst.to_state()
+    fc = run_algorithm(AlgorithmKind.FC, state, inst.sequence, FULL)
+    literal = run_algorithm(AlgorithmKind.VFC, state, inst.sequence, FULL, VfcPolicy.LITERAL)
+    strict = run_algorithm(AlgorithmKind.VFC, state, inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS)
+    assert fc.total_cost == 12
+    assert literal.total_cost == 13
+    assert strict.total_cost == 12
+    assert opt_free_exchange_cost(inst) == 12
 
 
 @st.composite

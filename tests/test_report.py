@@ -18,6 +18,20 @@ def sample_rows():
     ]
 
 
+def mixed_rows():
+    """Two inputs whose CSV lines name different algorithms."""
+    header = "file,n,list_size,algo,cost_model,total_cost"
+    return rows_from_csv(f"{header}\na,1,2,fc,full,3\nb,1,2,mtf,full,4\n")
+
+
+def bars(svg):
+    return [
+        (part.split('data-file="')[1].split('"')[0], part.split('data-algo="')[1].split('"')[0])
+        for part in svg.splitlines()
+        if 'class="bar"' in part
+    ]
+
+
 class TestCsv:
     def test_header_and_shape(self):
         lines = rows_to_csv(sample_rows()).splitlines()
@@ -80,6 +94,12 @@ class TestCsv:
         rows = [ComparisonRow("empty", 0, 0, CostModel.FULL, {"fc": 0})]
         assert rows_from_csv(rows_to_csv(rows)) == rows
 
+    def test_rejects_repeated_algo_within_an_input(self):
+        text = "file,n,list_size,algo,cost_model,total_cost\na,1,2,fc,full,3\na,1,2,fc,full,5\n"
+        with pytest.raises(ValueError) as exc:
+            rows_from_csv(text)
+        assert str(exc.value) == "CSV line 3: repeated algo 'fc' for file 'a'"
+
 
 class TestTable:
     def test_contains_all_costs(self):
@@ -89,6 +109,12 @@ class TestTable:
 
     def test_one_line_per_row_plus_header(self):
         assert len(format_table(sample_rows()).splitlines()) == 2 + 2
+
+    def test_columns_cover_every_row(self):
+        header, _, first, second = format_table(mixed_rows()).splitlines()
+        assert header.split() == ["file", "requests", "list", "size", "fc", "cost", "mtf", "cost"]
+        assert first.split() == ["a", "1", "2", "3", "-"]
+        assert second.split() == ["b", "1", "2", "-", "4"]
 
 
 class TestChart:
@@ -124,6 +150,11 @@ class TestChart:
         svg = render_bar_chart(rows)
         assert "a<b>" not in svg
         assert "a&lt;b&gt;" in svg
+
+    def test_bars_cover_every_row_and_skip_missing_totals(self):
+        svg = render_bar_chart(mixed_rows())
+        assert bars(svg) == [("a", "fc"), ("b", "mtf")]
+        assert ">fc<" in svg and ">mtf<" in svg
 
     def test_zero_cost_rows_render(self):
         rows = [ComparisonRow("empty", 0, 1, CostModel.FULL, {"fc": 0, "vfc": 0})]
