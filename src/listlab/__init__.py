@@ -12,7 +12,6 @@ from .algorithms import (
     UnsortedCounters,
     VfcPolicy,
     run_algorithm,
-    vfc_lookahead_size,
 )
 from .chart import EmptyReport, render_bar_chart
 from .corpus import (
@@ -32,6 +31,7 @@ from .corpus import (
 )
 from .listcore import (
     CostModel,
+    InvalidListState,
     ListLabError,
     ListState,
     PositionOutOfRange,
@@ -68,6 +68,7 @@ __all__ = [
     "EmptyReport",
     "EmptySequence",
     "InstanceTooLarge",
+    "InvalidListState",
     "ListLabError",
     "ListOrderPolicy",
     "ListState",
@@ -99,5 +100,4 @@ __all__ = [
     "rows_to_csv",
     "run_algorithm",
     "verify_engines",
-    "vfc_lookahead_size",
 ]

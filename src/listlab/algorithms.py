@@ -104,11 +104,6 @@ class RunReport:
         return [s.requests_consumed for s in self.steps]
 
 
-def vfc_lookahead_size(f_elem: int, f_head: int) -> int:
-    """Window budget for one lookahead: ``|f_elem - f_head| + 1``."""
-    return abs(f_elem - f_head) + 1
-
-
 def _check_non_increasing(neg: list[int]) -> None:
     """Reject counters (given negated) that increase along the list."""
     if neg != sorted(neg):
@@ -147,7 +142,8 @@ def _counting_engine(state: ListState, sequence: RequestSequence, lookahead: Vfc
         consumed = 1
         if lookahead is not None and -neg[0] > g:
             start = cursor + 1
-            stop = min(cursor + vfc_lookahead_size(g, -neg[0]), n)
+            # the budget |g - f_head| + 1, clipped at the sequence's end
+            stop = min(cursor - neg[0] - g + 1, n)
             if lookahead is VfcPolicy.LITERAL:
                 # bytes, list and tuple all expose bounded index()
                 try:

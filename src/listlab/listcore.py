@@ -43,6 +43,10 @@ class PositionOutOfRange(ListLabError):
     pass
 
 
+class InvalidListState(ListLabError, ValueError):
+    """A list repeats a symbol or lacks a non-negative counter for one."""
+
+
 class CostModel(Enum):
     """FULL charges i for accessing position i; PARTIAL charges i - 1."""
 
@@ -65,10 +69,10 @@ class ListState:
 
     def __post_init__(self) -> None:
         if len(set(self.order)) != len(self.order):
-            raise ValueError("list symbols must be pairwise distinct")
+            raise InvalidListState("list symbols must be pairwise distinct")
         for s in self.order:
             if self.freq.get(s, -1) < 0:
-                raise ValueError(f"symbol {s!r} needs a non-negative counter entry")
+                raise InvalidListState(f"symbol {s!r} needs a non-negative counter entry")
 
     @classmethod
     def from_order(cls, order: Iterable[Symbol], freq: Sequence[int] | None = None) -> "ListState":

@@ -22,14 +22,15 @@ accessed symbol, and their charge ``p + (B - 1)`` is exactly realizable by
 accessing at p, moving to the front for free, and serving the remaining
 B - 1 repeats at the head, so dominance holds for them unconditionally.
 The dominance check therefore covers MTF, TRANS, FC and strict VFC on every
-instance, and literal VFC only on runs whose batches swallowed nothing.
+instance, and literal VFC only on runs whose batches swallowed nothing, as
+read off the run's trace in the same walk that checks its counters.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .algorithms import AlgorithmKind, RunReport, VfcPolicy, run_algorithm
+from .algorithms import AlgorithmKind, VfcPolicy, run_algorithm
 from .listcore import CostModel, ListLabError, ListState, Symbol, SymbolNotInList
 
 MAX_INSTANCE_LIST = 5
@@ -64,6 +65,7 @@ class SmallInstance:
             raise InstanceTooLarge(f"list size {len(self.order)} exceeds {MAX_INSTANCE_LIST}")
         if len(self.sequence) > MAX_INSTANCE_SEQ:
             raise InstanceTooLarge(f"sequence length {len(self.sequence)} exceeds {MAX_INSTANCE_SEQ}")
+        self.to_state()  # rejects a repeated symbol, so the two oracles agree on the list
 
     def to_state(self) -> ListState:
         return ListState.from_order(self.order)
@@ -139,11 +141,31 @@ def enumerate_instances(
     return instances()
 
 
+CHECKS = (
+    "fc-matches-reference",
+    "opt-dominates-engines",
+    "mtf-within-twice-opt",
+    "fc-vfc-conservation",
+    "full-model-lower-bound",
+    "frequencies-non-increasing",
+    "batch-promotes-to-head",
+)
+# the checks that hold only when accessing the head costs one
+FULL_MODEL_CHECKS = ("mtf-within-twice-opt", "full-model-lower-bound")
+# verify's reruns: the traceless engines, then the counting engines with snapshots
+TRACELESS_RUNS = (AlgorithmKind.MTF, AlgorithmKind.TRANS)
+COUNTING_RUNS = (
+    (AlgorithmKind.FC, VfcPolicy.LITERAL),
+    (AlgorithmKind.VFC, VfcPolicy.LITERAL),
+    (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS),
+)
+
+
 @dataclass
 class CheckResult:
     name: str
-    instances: int = 0
-    failures: list[str] = field(default_factory=list)
+    instances: int
+    failures: list[str]
 
     @property
     def passed(self) -> bool:
@@ -168,10 +190,6 @@ class VerificationReport:
         return lines
 
 
-def _describe(instance: SmallInstance, detail: str) -> str:
-    return f"order={instance.order} seq={instance.sequence}: {detail}"
-
-
 def verify_engines(
     max_list_size: int = 3,
     max_seq_len: int = 6,
@@ -182,126 +200,77 @@ def verify_engines(
     Per instance: the FC engine must match the independent reference total;
     the free-exchange optimum must not exceed the total of any engine that
     served every request (see the module docstring for why a swallowing
-    literal-VFC run is exempt); MTF must stay within twice the optimum
-    (full model); FC and VFC runs must conserve counters and list membership
-    and consume each request exactly once; full-model totals must be at
-    least the request count; counters along the list must be non-increasing
-    after every step; an uncut batched step must leave the batched symbol at
-    the head.
+    literal-VFC run is exempt); MTF must stay within twice the optimum; FC
+    and VFC runs must conserve counters and list membership and consume each
+    request exactly once; totals must be at least the request count;
+    counters along the list must be non-increasing after every step; an
+    uncut batched step must leave the batched symbol at the head. The checks
+    in ``FULL_MODEL_CHECKS`` run only under the full model. Each check keeps
+    its first ``FAILURE_LIMIT`` counterexamples.
     """
-    checks = {
-        name: CheckResult(name)
-        for name in (
-            "fc-matches-reference",
-            "opt-dominates-engines",
-            "mtf-within-twice-opt",
-            "fc-vfc-conservation",
-            "full-model-lower-bound",
-            "frequencies-non-increasing",
-            "batch-promotes-to-head",
-        )
-    }
-
-    def record(name: str, instance: SmallInstance, detail: str) -> None:
-        failures = checks[name].failures
-        if len(failures) < FAILURE_LIMIT:
-            failures.append(_describe(instance, detail))
-
-    total_instances = 0
-    full = model is CostModel.FULL
+    failures: dict[str, list[str]] = {name: [] for name in CHECKS}
+    total = 0
     for instance in enumerate_instances(max_list_size, max_seq_len, model):
-        total_instances += 1
-        state = instance.to_state()
-        n = len(instance.sequence)
-        reference = naive_fc_cost(instance)
-        opt = opt_free_exchange_cost(instance)
-
-        mtf = run_algorithm(AlgorithmKind.MTF, state, instance.sequence, model, keep_trace=False)
-        trans = run_algorithm(AlgorithmKind.TRANS, state, instance.sequence, model, keep_trace=False)
-        fc = run_algorithm(AlgorithmKind.FC, state, instance.sequence, model, snapshots=True)
-        vfc_lit = run_algorithm(
-            AlgorithmKind.VFC, state, instance.sequence, model, VfcPolicy.LITERAL, snapshots=True
-        )
-        vfc_strict = run_algorithm(
-            AlgorithmKind.VFC, state, instance.sequence, model, VfcPolicy.STRICT_HOMOGENEOUS, snapshots=True
-        )
-        engines: list[RunReport] = [mtf, trans, fc, vfc_lit, vfc_strict]
-
-        checks["fc-matches-reference"].instances += 1
-        if fc.total_cost != reference:
-            record("fc-matches-reference", instance, f"engine {fc.total_cost} != reference {reference}")
-
-        checks["opt-dominates-engines"].instances += 1
-        dominated = [mtf, trans, fc, vfc_strict]
-        if not _swallowed_anything(vfc_lit, instance.sequence):
-            dominated.append(vfc_lit)
-        for report in dominated:
-            if report.total_cost < opt:
-                record(
-                    "opt-dominates-engines",
-                    instance,
-                    f"{report.label} total {report.total_cost} < opt {opt}",
-                )
-
-        if full:
-            checks["mtf-within-twice-opt"].instances += 1
-            if mtf.total_cost > 2 * opt:
-                record("mtf-within-twice-opt", instance, f"mtf {mtf.total_cost} > 2*opt {2 * opt}")
-
-            checks["full-model-lower-bound"].instances += 1
-            for report in engines:
-                if report.total_cost < n:
-                    record(
-                        "full-model-lower-bound",
-                        instance,
-                        f"{report.label} total {report.total_cost} < n {n}",
-                    )
-
-        checks["fc-vfc-conservation"].instances += 1
-        for report in (fc, vfc_lit, vfc_strict):
-            label = report.label
-            if sum(report.final_state.freq.values()) != n:
-                record("fc-vfc-conservation", instance, f"{label} counter sum != {n}")
-            if sorted(report.final_state.order) != sorted(instance.order):
-                record("fc-vfc-conservation", instance, f"{label} lost or invented symbols")
-            if sum(report.consumed_counts) != n:
-                record("fc-vfc-conservation", instance, f"{label} consumed {sum(report.consumed_counts)} of {n}")
-
-        checks["frequencies-non-increasing"].instances += 1
-        for report in (fc, vfc_lit, vfc_strict):
-            for step in report.steps:
-                freqs = step.freq_after
-                if any(freqs[i] < freqs[i + 1] for i in range(len(freqs) - 1)):
-                    record(
-                        "frequencies-non-increasing",
-                        instance,
-                        f"{report.label} counters {freqs} after serving {step.request}",
-                    )
-                    break
-
-        checks["batch-promotes-to-head"].instances += 1
-        for report in (vfc_lit, vfc_strict):
-            cursor = 0
-            for step in report.steps:
-                cursor += step.requests_consumed
-                # a cut-short batch always ends the run, so any batched step
-                # with requests left behind it used its whole window
-                if step.requests_consumed > 1 and cursor < n and step.list_after[0] != step.request:
-                    record(
-                        "batch-promotes-to-head",
-                        instance,
-                        f"{report.label} batch on {step.request} left head {step.list_after[0]}",
-                    )
-
-    return VerificationReport(list(checks.values()), total_instances)
+        total += 1
+        for name, detail in _failures(instance, model):
+            if len(failures[name]) < FAILURE_LIMIT:
+                failures[name].append(f"order={instance.order} seq={instance.sequence}: {detail}")
+    skipped = () if model is CostModel.FULL else FULL_MODEL_CHECKS
+    checks = [CheckResult(name, 0 if name in skipped else total, failures[name]) for name in CHECKS]
+    return VerificationReport(checks, total)
 
 
-def _swallowed_anything(report: RunReport, sequence: tuple[Symbol, ...]) -> bool:
-    """True when a batched step consumed a request for some other symbol."""
-    cursor = 0
-    for step in report.steps:
-        block = sequence[cursor : cursor + step.requests_consumed]
-        cursor += step.requests_consumed
-        if step.requests_consumed > 1 and block.count(step.request) != len(block):
-            return True
-    return False
+def _failures(instance: SmallInstance, model: CostModel) -> Iterator[tuple[str, str]]:
+    """Yield (check, detail) for every check ``instance`` fails.
+
+    One walk over each counting run's steps yields its consumed-sum, counter
+    and batch-head checks, and tells whether the literal run swallowed a
+    request for another symbol.
+    """
+    state, sequence, n = instance.to_state(), instance.sequence, len(instance.sequence)
+    reference = naive_fc_cost(instance)
+    opt = opt_free_exchange_cost(instance)
+    mtf, trans = (run_algorithm(kind, state, sequence, model, keep_trace=False) for kind in TRACELESS_RUNS)
+    fc, literal, strict = counting = [
+        run_algorithm(kind, state, sequence, model, policy, snapshots=True) for kind, policy in COUNTING_RUNS
+    ]
+
+    if fc.total_cost != reference:
+        yield "fc-matches-reference", f"engine {fc.total_cost} != reference {reference}"
+
+    swallowed = False
+    for report in counting:
+        label = report.label
+        if sum(report.final_state.freq.values()) != n:
+            yield "fc-vfc-conservation", f"{label} counter sum != {n}"
+        if sorted(report.final_state.order) != sorted(instance.order):
+            yield "fc-vfc-conservation", f"{label} lost or invented symbols"
+        sorted_so_far = True
+        cursor = 0
+        for step in report.steps:
+            start, cursor = cursor, cursor + step.requests_consumed
+            freqs = step.freq_after
+            if sorted_so_far and list(freqs) != sorted(freqs, reverse=True):
+                sorted_so_far = False
+                yield "frequencies-non-increasing", f"{label} counters {freqs} after serving {step.request}"
+            if report is fc or step.requests_consumed == 1:
+                continue
+            # a cut-short batch always ends the run, so any batched step
+            # with requests left behind it used its whole window
+            if cursor < n and step.list_after[0] != step.request:
+                yield "batch-promotes-to-head", f"{label} batch on {step.request} left head {step.list_after[0]}"
+            if report is literal and sequence[start:cursor].count(step.request) != cursor - start:
+                swallowed = True
+        if cursor != n:
+            yield "fc-vfc-conservation", f"{label} consumed {cursor} of {n}"
+
+    for report in (mtf, trans, fc, strict) if swallowed else (mtf, trans, fc, strict, literal):
+        if report.total_cost < opt:
+            yield "opt-dominates-engines", f"{report.label} total {report.total_cost} < opt {opt}"
+
+    if model is CostModel.FULL:
+        if mtf.total_cost > 2 * opt:
+            yield "mtf-within-twice-opt", f"mtf {mtf.total_cost} > 2*opt {2 * opt}"
+        for report in (mtf, trans, *counting):
+            if report.total_cost < n:
+                yield "full-model-lower-bound", f"{report.label} total {report.total_cost} < n {n}"

@@ -14,7 +14,6 @@ from listlab import (
     naive_fc_step_costs,
     preprocess,
     run_algorithm,
-    vfc_lookahead_size,
 )
 
 from _textgen import surrogate_corpus
@@ -128,16 +127,6 @@ class TestFc:
         assert step.cost_charged == 2
         assert counters_after(step)[2] == 1
         assert s.freq[2] == 0
-
-
-class TestLookaheadSize:
-    @pytest.mark.parametrize("f_elem,f_head,expected", [(0, 1, 2), (0, 2, 3), (5, 5, 1)])
-    def test_values(self, f_elem, f_head, expected):
-        assert vfc_lookahead_size(f_elem, f_head) == expected
-
-    @given(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=100))
-    def test_symmetric_and_positive(self, a, b):
-        assert vfc_lookahead_size(a, b) == vfc_lookahead_size(b, a) >= 1
 
 
 class TestVfcStep:

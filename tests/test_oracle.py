@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import listlab.algorithms
+import listlab.oracle
 from listlab import (
     AlgorithmKind,
     BoundsExceeded,
     CostModel,
     InstanceTooLarge,
+    ListLabError,
     ListState,
     SmallInstance,
     SymbolNotInList,
@@ -107,6 +109,11 @@ class TestBounds:
         with pytest.raises(InstanceTooLarge):
             SmallInstance((1,), (1,) * 11)
 
+    def test_instance_list_repeats_a_symbol(self):
+        # the two oracles would disagree on such a list (OPT 4, reference FC 5)
+        with pytest.raises(ListLabError):
+            SmallInstance((1, 1, 2), (2, 1))
+
     @pytest.mark.parametrize("m,n", [(5, 2), (2, 9), (0, 2), (2, -1)])
     def test_enumeration_bounds(self, m, n):
         with pytest.raises(BoundsExceeded):
@@ -124,6 +131,80 @@ class TestEnumeration:
         assert all(set(s) <= {1, 2} for s in seqs)
 
 
+def _bump_fc_counter(report):
+    if report.label == "fc":
+        report.final_state.freq[report.final_state.order[0]] += 1
+    return report
+
+
+def _zero_trans_total(report):
+    if report.label == "trans":
+        report.total_cost = 0
+    return report
+
+
+def _reverse_counters(report):
+    for step in report.steps:
+        if step.freq_after is not None:
+            step.freq_after = step.freq_after[::-1]
+    return report
+
+
+def _rotate_batched_lists(report):
+    for step in report.steps:
+        if step.requests_consumed > 1:
+            step.list_after = step.list_after[1:] + step.list_after[:1]
+    return report
+
+
+# (check, name the verifier calls, change to its result, first counterexample):
+# each change breaks what its check guards
+PERTURBATIONS = [
+    (
+        "fc-matches-reference",
+        "naive_fc_cost",
+        lambda total: total + 1,
+        "order=(1, 2, 3) seq=(): engine 0 != reference 1",
+    ),
+    (
+        "opt-dominates-engines",
+        "opt_free_exchange_cost",
+        lambda opt: opt + 1,
+        "order=(1, 2, 3) seq=(): mtf total 0 < opt 1",
+    ),
+    (
+        "mtf-within-twice-opt",
+        "opt_free_exchange_cost",
+        lambda opt: opt // 3,
+        "order=(1, 2, 3) seq=(1,): mtf 1 > 2*opt 0",
+    ),
+    (
+        "fc-vfc-conservation",
+        "run_algorithm",
+        _bump_fc_counter,
+        "order=(1, 2, 3) seq=(): fc counter sum != 0",
+    ),
+    (
+        "full-model-lower-bound",
+        "run_algorithm",
+        _zero_trans_total,
+        "order=(1, 2, 3) seq=(1,): trans total 0 < n 1",
+    ),
+    (
+        "frequencies-non-increasing",
+        "run_algorithm",
+        _reverse_counters,
+        "order=(1, 2, 3) seq=(1,): fc counters (0, 0, 1) after serving 1",
+    ),
+    (
+        "batch-promotes-to-head",
+        "run_algorithm",
+        _rotate_batched_lists,
+        "order=(1, 2, 3) seq=(1, 2, 2, 1): vfc[literal] batch on 2 left head 1",
+    ),
+]
+
+
 class TestVerification:
     def test_default_bounds_pass(self):
         report = verify_engines(3, 6)
@@ -139,6 +220,14 @@ class TestVerification:
         lines = report.summary_lines()
         assert len(lines) == len(report.checks)
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("check,name,change,counterexample", PERTURBATIONS, ids=[p[0] for p in PERTURBATIONS])
+    def test_perturbation_fails_its_check(self, monkeypatch, check, name, change, counterexample):
+        real = getattr(listlab.oracle, name)
+        monkeypatch.setattr(listlab.oracle, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+        lines = verify_engines(3, 5).summary_lines()
+        at = lines.index(f"FAIL {check} (364 instances)")
+        assert lines[at + 1] == f"  counterexample: {counterexample}"
 
     def test_detects_perturbed_cost_constant(self, monkeypatch):
         real = listlab.algorithms.access_cost
