@@ -31,11 +31,12 @@ c - 1, whose successor is below f when c < j and is the accessed element
 itself when c == j. So the element stays put when c == j, and otherwise goes
 to c - 1 if that counter equals f and to c if it does not.
 
-``run_algorithm`` is the one run loop. Each engine is a step that serves the
-request at a cursor and returns the accessed index j and the number of
-requests consumed (always 1 for MTF, TRANS and FC); the loop charges the
-access cost at position j + 1 plus one unit per extra consumed request, and
-keeps the trace and the snapshots.
+``run_algorithm`` is the one run loop. Each engine is a step over the order
+and the negated counters (FC and VFC keep their counters there alone until
+the run ends): it serves the request at a cursor, any window clipped at a
+given end, and returns the accessed index j and the requests consumed. The
+loop charges the access cost at position j + 1 plus one unit per extra
+consumed request, and keeps the trace; the verifier drives the same steps.
 """
 
 from bisect import bisect_right
@@ -54,7 +55,8 @@ from .listcore import (
     access_cost,
 )
 
-Step = Callable[[int], tuple[int, int]]
+# (order, negated counters, sequence, cursor, window clip) -> (accessed index, requests consumed)
+Step = Callable[[list[Symbol], list[int], RequestSequence, int, int], tuple[int, int]]
 
 
 class UnsortedCounters(ListLabError):
@@ -104,15 +106,6 @@ class RunReport:
         return [s.requests_consumed for s in self.steps]
 
 
-def _check_non_increasing(neg: list[int]) -> None:
-    """Reject counters (given negated) that increase along the list."""
-    if neg != sorted(neg):
-        raise UnsortedCounters(
-            f"counters {tuple(-c for c in neg)} increase along the list; FC and VFC "
-            "need them non-increasing from front to back"
-        )
-
-
 def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
     """Give ``order[j]`` the counter ``f`` and move it where the FC rule
     puts it; ``neg`` holds the negated counters aligned with ``order``."""
@@ -127,23 +120,37 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
     neg.insert(c, -f)
 
 
-def _counting_engine(state: ListState, sequence: RequestSequence, lookahead: VfcPolicy | None) -> Step:
-    """FC when ``lookahead`` is None, VFC under that policy otherwise."""
-    order, freq = state.order, state.freq
-    neg = [-freq[s] for s in order]
-    _check_non_increasing(neg)
-    index = order.index
-    n = len(sequence)
+def _window_end(neg: list[int], g: int, cursor: int) -> int:
+    """One past the VFC window of a request with counter ``g`` at ``cursor``,
+    before the clip at the sequence's end: the budget |g - f_head| + 1."""
+    return cursor - neg[0] - g + 1
 
-    def step(cursor: int) -> tuple[int, int]:
+
+def _mtf(order: list[Symbol], neg: list[int], sequence: RequestSequence, cursor: int, n: int) -> tuple[int, int]:
+    j = order.index(sequence[cursor])
+    if j:
+        order.insert(0, order.pop(j))
+    return j, 1
+
+
+def _trans(order: list[Symbol], neg: list[int], sequence: RequestSequence, cursor: int, n: int) -> tuple[int, int]:
+    j = order.index(sequence[cursor])
+    if j:
+        order[j - 1], order[j] = order[j], order[j - 1]
+    return j, 1
+
+
+def _counting(lookahead: VfcPolicy | None) -> Step:
+    """FC's step when ``lookahead`` is None, VFC's under that policy otherwise."""
+
+    def step(order: list[Symbol], neg: list[int], sequence: RequestSequence, cursor: int, n: int) -> tuple[int, int]:
         request = sequence[cursor]
-        j = index(request)
+        j = order.index(request)
         g = -neg[j]
         consumed = 1
         if lookahead is not None and -neg[0] > g:
             start = cursor + 1
-            # the budget |g - f_head| + 1, clipped at the sequence's end
-            stop = min(cursor - neg[0] - g + 1, n)
+            stop = min(_window_end(neg, g, cursor), n)
             if lookahead is VfcPolicy.LITERAL:
                 # bytes, list and tuple all expose bounded index()
                 try:
@@ -152,44 +159,25 @@ def _counting_engine(state: ListState, sequence: RequestSequence, lookahead: Vfc
                 except ValueError:
                     pass
             # the last request is the cheapest one to rule a window out by
-            elif (
-                stop > start
-                and sequence[stop - 1] == request
-                and sequence[start:stop].count(request) == stop - start
-            ):
+            elif stop > start and sequence[stop - 1] == request and sequence[start:stop].count(request) == stop - start:
                 consumed = stop - cursor
         _promote(order, neg, j, g + consumed)
-        freq[request] = g + consumed
         return j, consumed
 
     return step
 
 
-def _engine(kind: AlgorithmKind, state: ListState, sequence: RequestSequence, policy: VfcPolicy) -> Step:
-    """The step of ``kind`` over ``state``, which it updates in place: it
-    serves the request at a cursor and returns (accessed index, requests
-    consumed), raising ValueError when the symbol is not listed."""
-    if kind is AlgorithmKind.FC or kind is AlgorithmKind.VFC:
-        return _counting_engine(state, sequence, policy if kind is AlgorithmKind.VFC else None)
-    order = state.order
-    index = order.index
-    if kind is AlgorithmKind.MTF:
+_STEPS = {AlgorithmKind.MTF: _mtf, AlgorithmKind.TRANS: _trans, AlgorithmKind.FC: _counting(None)}
+_STEPS |= {policy: _counting(policy) for policy in VfcPolicy}  # VFC's steps are keyed by policy
 
-        def step(cursor: int) -> tuple[int, int]:
-            j = index(sequence[cursor])
-            if j:
-                order.insert(0, order.pop(j))
-            return j, 1
 
-    else:
+def _engine_step(kind: AlgorithmKind, policy: VfcPolicy) -> Step:
+    return _STEPS[policy if kind is AlgorithmKind.VFC else kind]
 
-        def step(cursor: int) -> tuple[int, int]:
-            j = index(sequence[cursor])
-            if j:
-                order[j - 1], order[j] = order[j], order[j - 1]
-            return j, 1
 
-    return step
+def _access_costs(model: CostModel, m: int) -> list[int]:
+    """The charge at each list index, one lookup a step; ``access_cost`` states the model."""
+    return [access_cost(model, p) for p in range(1, m + 1)]
 
 
 def run_algorithm(
@@ -210,17 +198,25 @@ def run_algorithm(
     after every step.
     """
     work = state.copy()
-    step = _engine(kind, work, sequence, policy)
-    # access_cost stays the one statement of the cost model; the table makes
-    # it one lookup per step
-    costs = [access_cost(model, p) for p in range(1, len(work) + 1)]
+    order = work.order
+    neg = [-work.freq[s] for s in order]
+    counting = kind is AlgorithmKind.FC or kind is AlgorithmKind.VFC
+    if counting and neg != sorted(neg):
+        raise UnsortedCounters(
+            f"counters {tuple(-c for c in neg)} increase along the list; FC and VFC "
+            "need them non-increasing from front to back"
+        )
+    # FC and VFC keep their counters in neg alone; MTF and TRANS leave them be
+    counters = (lambda: tuple([-c for c in neg])) if counting else work.frequencies_in_order
+    step = _engine_step(kind, policy)
+    costs = _access_costs(model, len(order))
     steps: list[StepRecord] = []
     total = 0
     n = len(sequence)
     cursor = 0
     while cursor < n:
         try:
-            j, consumed = step(cursor)
+            j, consumed = step(order, neg, sequence, cursor, n)
         except ValueError:
             raise SymbolNotInList(sequence[cursor], cursor) from None
         cost = costs[j] + consumed - 1
@@ -228,10 +224,11 @@ def run_algorithm(
         if keep_trace:
             record = StepRecord(sequence[cursor], j + 1, cost, consumed)
             if snapshots:
-                record.list_after = tuple(work.order)
-                record.freq_after = work.frequencies_in_order()
+                record.list_after = tuple(order)
+                record.freq_after = counters()
             steps.append(record)
         cursor += consumed
+    work.freq = dict(zip(order, counters()))
 
     label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
     return RunReport(label, total, steps, work)

@@ -5,11 +5,12 @@ directly over (symbol, counter) pairs; it shares no state or helpers with
 the engine it cross-checks. ``opt_free_exchange_cost`` is the offline
 optimum restricted to free exchanges (after each access the accessed element
 may move closer to the front at zero cost), computed by the forward dynamic
-program of Reingold & Westbrook (IPL 1996) over the reachable list orders.
-The unrestricted optimum could also use paid exchanges and is never larger,
-so the value computed here upper-bounds it. That is the safe direction for
-every check in :func:`verify_engines`: the engines use free exchanges only,
-hence cost at least the free-exchange optimum, and the move-to-front bound
+program of Reingold & Westbrook (IPL 1996) over the list orders, each order
+a row of a transition table cached per starting list. The unrestricted
+optimum could also use paid exchanges and is never larger, so the value
+computed here upper-bounds it. That is the safe direction for every check
+in :func:`verify_engines`: the engines use free exchanges only, hence cost
+at least the free-exchange optimum, and the move-to-front bound
 ``MTF <= 2 * OPT`` only gets weaker when OPT is replaced by an upper bound.
 
 One deliberate exception: dominance over the optimum is a theorem only for
@@ -22,16 +23,26 @@ accessed symbol, and their charge ``p + (B - 1)`` is exactly realizable by
 accessing at p, moving to the front for free, and serving the remaining
 B - 1 repeats at the head, so dominance holds for them unconditionally.
 The dominance check therefore covers MTF, TRANS, FC and strict VFC on every
-instance, and literal VFC only on runs whose batches swallowed nothing, as
-read off the run's trace in the same walk that checks its counters.
+instance, and literal VFC only on runs whose batches swallowed nothing.
+
+The verifier reruns no engine per instance: it keeps each engine's state
+after each prefix of the previous instance and resumes from the longest
+prefix the two share. MTF, TRANS and FC are online, so that state holds for
+every extension. A VFC step reads a window of later requests, clipped at the
+sequence's end, so only steps whose unclipped window lies inside the prefix
+hold for every extension; the chain commits those, and each instance serves
+the rest with the window clipped at its own end. The references stay per
+instance and from scratch, so they share nothing with the walk they check.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
-from .algorithms import AlgorithmKind, VfcPolicy, run_algorithm
-from .listcore import CostModel, ListLabError, ListState, Symbol, SymbolNotInList
+from .algorithms import AlgorithmKind, Step, VfcPolicy, _access_costs, _engine_step, _window_end, run_algorithm
+from .listcore import CostModel, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
 
 MAX_INSTANCE_LIST = 5
 MAX_INSTANCE_SEQ = 10
@@ -99,25 +110,39 @@ def naive_fc_cost(instance: SmallInstance) -> int:
 def opt_free_exchange_cost(instance: SmallInstance) -> int:
     """Minimum total cost over all free-exchange serving strategies.
 
-    One pass over the requests; ``reach`` maps each list order some strategy
-    can hold after the requests so far to the least cost of reaching it.
+    One pass over the requests; ``reach`` maps each list order (by index)
+    some strategy can hold after the requests so far to its least cost.
     """
-    full = instance.model is CostModel.FULL
-    reach = {instance.order: 0}
+    head = 1 if instance.model is CostModel.FULL else 0
+    table = _exchanges(instance.order)
+    reach = {0: 0}
     for k, request in enumerate(instance.sequence):
-        if request not in instance.order:
+        rows = table.get(request)
+        if rows is None:
             raise SymbolNotInList(request, k)
-        after: dict[tuple[Symbol, ...], int] = {}
-        for order, cost in reach.items():
-            i = order.index(request)
-            cost += i + 1 if full else i
-            rest = order[:i] + order[i + 1 :]
-            for to in range(i + 1):
-                moved = rest[:to] + (request,) + rest[to:]
-                if cost < after.get(moved, cost + 1):
-                    after[moved] = cost
+        after: dict[int, int] = {}
+        for at, cost in reach.items():
+            i, targets = rows[at]
+            cost += i + head
+            for to in targets:
+                if to not in after or cost < after[to]:
+                    after[to] = cost
         reach = after
     return min(reach.values())
+
+
+@lru_cache(maxsize=32)  # a verify run reads one list order
+def _exchanges(order: tuple[Symbol, ...]) -> Mapping[Symbol, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Per symbol, a row per permutation of ``order`` (by index, ``order``
+    first): the symbol's index there and the permutations its free exchanges leave."""
+    orders = list(itertools.permutations(order))
+    index = {o: k for k, o in enumerate(orders)}
+    table: dict[Symbol, list] = {s: [] for s in order}
+    for o in orders:
+        for i, s in enumerate(o):
+            rest = o[:i] + o[i + 1 :]
+            table[s].append((i, tuple(index[rest[:to] + (s,) + rest[to:]] for to in range(i + 1))))
+    return MappingProxyType({s: tuple(rows) for s, rows in table.items()})
 
 
 def enumerate_instances(
@@ -132,13 +157,8 @@ def enumerate_instances(
     if not 0 <= n_max <= MAX_ENUM_SEQ:
         raise BoundsExceeded(f"sequence bound {n_max} not in 0..{MAX_ENUM_SEQ}")
     alphabet = tuple(range(1, m + 1))
-
-    def instances() -> Iterator[SmallInstance]:
-        for n in range(n_max + 1):
-            for seq in itertools.product(alphabet, repeat=n):
-                yield SmallInstance(alphabet, seq, model)
-
-    return instances()
+    lengths = range(n_max + 1)
+    return (SmallInstance(alphabet, seq, model) for n in lengths for seq in itertools.product(alphabet, repeat=n))
 
 
 CHECKS = (
@@ -152,13 +172,8 @@ CHECKS = (
 )
 # the checks that hold only when accessing the head costs one
 FULL_MODEL_CHECKS = ("mtf-within-twice-opt", "full-model-lower-bound")
-# verify's reruns: the traceless engines, then the counting engines with snapshots
-TRACELESS_RUNS = (AlgorithmKind.MTF, AlgorithmKind.TRANS)
-COUNTING_RUNS = (
-    (AlgorithmKind.FC, VfcPolicy.LITERAL),
-    (AlgorithmKind.VFC, VfcPolicy.LITERAL),
-    (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS),
-)
+# the engine configurations verify walks: mtf, trans, fc, vfc[literal], vfc[strict]
+RUNS = (*((kind, VfcPolicy.LITERAL) for kind in AlgorithmKind), (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS))
 
 
 @dataclass
@@ -207,12 +222,15 @@ def verify_engines(
     uncut batched step must leave the batched symbol at the head. The checks
     in ``FULL_MODEL_CHECKS`` run only under the full model. Each check keeps
     its first ``FAILURE_LIMIT`` counterexamples.
+
+    The engines' states come from one walk over the instances' shared
+    prefixes (see the module docstring); no engine is rerun per instance.
     """
     failures: dict[str, list[str]] = {name: [] for name in CHECKS}
     total = 0
-    for instance in enumerate_instances(max_list_size, max_seq_len, model):
+    for instance, runs in _prefix_runs(max_list_size, max_seq_len, model):
         total += 1
-        for name, detail in _failures(instance, model):
+        for name, detail in _failures(instance, runs, model):
             if len(failures[name]) < FAILURE_LIMIT:
                 failures[name].append(f"order={instance.order} seq={instance.sequence}: {detail}")
     skipped = () if model is CostModel.FULL else FULL_MODEL_CHECKS
@@ -220,57 +238,108 @@ def verify_engines(
     return VerificationReport(checks, total)
 
 
-def _failures(instance: SmallInstance, model: CostModel) -> Iterator[tuple[str, str]]:
-    """Yield (check, detail) for every check ``instance`` fails.
+@dataclass(slots=True)
+class _Run:
+    """An engine configuration after the requests it consumed, and what the
+    step checks found; a prefix's run is shared, so serving copies it."""
 
-    One walk over each counting run's steps yields its consumed-sum, counter
-    and batch-head checks, and tells whether the literal run swallowed a
-    request for another symbol.
-    """
-    state, sequence, n = instance.to_state(), instance.sequence, len(instance.sequence)
+    label: str
+    step: Step
+    lookahead: bool
+    order: list[Symbol]
+    neg: list[int]  # negated counters, aligned with order
+    cursor: int = 0  # requests consumed
+    total: int = 0
+    unsorted: str | None = None  # the first step after which the counters increase
+    batches: tuple[tuple[int, str], ...] = ()  # (cursor after, detail) per batch that left another head
+    swallowed: bool = False  # a batch consumed a request for another symbol
+
+    @classmethod
+    def start(cls, kind: AlgorithmKind, policy: VfcPolicy, instance: SmallInstance) -> "_Run":
+        """A run over no requests gives the label and validated starting state."""
+        report = run_algorithm(kind, instance.to_state(), (), instance.model, policy, keep_trace=False)
+        order, freq = report.final_state.order, report.final_state.freq
+        neg = [-freq[s] for s in order]
+        return cls(report.label, _engine_step(kind, policy), kind is AlgorithmKind.VFC, order, neg)
+
+    def served(self, sequence: RequestSequence, end: int, costs: list[int], committed: bool) -> "_Run":
+        """The run after the requests before ``end``, windows clipped there;
+        ``committed`` stops at the first window reaching past ``end``, so
+        every step taken holds for any extension of ``sequence[:end]``."""
+        run, order, neg = self, self.order, self.neg
+        while run.cursor < end:
+            cursor = run.cursor
+            request = sequence[cursor]
+            # a step with no window (head counter <= g) ends by cursor + 1 <= end
+            if committed and self.lookahead and _window_end(neg, -neg[order.index(request)], cursor) > end:
+                break
+            if run is self:
+                run = _Run(self.label, self.step, self.lookahead, order[:], neg[:], cursor, self.total,
+                           self.unsorted, self.batches, self.swallowed)
+                order, neg = run.order, run.neg
+            j, consumed = self.step(order, neg, sequence, cursor, end)
+            run.cursor = after = cursor + consumed
+            run.total += costs[j] + consumed - 1
+            if run.unsorted is None and neg != sorted(neg):
+                run.unsorted = f"{self.label} counters {tuple(-c for c in neg)} after serving {request}"
+            if consumed > 1:
+                if order[0] != request:
+                    run.batches += ((after, f"{self.label} batch on {request} left head {order[0]}"),)
+                run.swallowed |= sequence[cursor:after].count(request) != consumed
+        return run
+
+
+def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallInstance, list[_Run]]]:
+    """Yield each instance of ``enumerate_instances`` with the runs of ``RUNS`` after serving it;
+    ``chain[k]`` holds the runs committed after the first k requests of the previous instance."""
+    costs = _access_costs(model, m)
+    chain: list[list[_Run]] = []
+    previous: tuple[Symbol, ...] = ()
+    for instance in enumerate_instances(m, n_max, model):
+        sequence = instance.sequence
+        if not chain:  # every instance starts from the same list
+            chain.append([_Run.start(kind, policy, instance) for kind, policy in RUNS])
+        pairs = list(zip(previous, sequence))
+        shared = next((k for k, (a, b) in enumerate(pairs) if a != b), len(pairs))
+        del chain[shared + 1 :]
+        for end in range(shared + 1, len(sequence) + 1):
+            chain.append([run.served(sequence, end, costs, True) for run in chain[-1]])
+        yield instance, [run.served(sequence, len(sequence), costs, False) for run in chain[-1]]
+        previous = sequence
+
+
+def _failures(instance: SmallInstance, runs: list[_Run], model: CostModel) -> Iterator[tuple[str, str]]:
+    """Yield (check, detail) for every check ``instance`` fails, given the runs after serving it."""
+    n = len(instance.sequence)
     reference = naive_fc_cost(instance)
     opt = opt_free_exchange_cost(instance)
-    mtf, trans = (run_algorithm(kind, state, sequence, model, keep_trace=False) for kind in TRACELESS_RUNS)
-    fc, literal, strict = counting = [
-        run_algorithm(kind, state, sequence, model, policy, snapshots=True) for kind, policy in COUNTING_RUNS
-    ]
+    mtf, trans, fc, literal, strict = runs
 
-    if fc.total_cost != reference:
-        yield "fc-matches-reference", f"engine {fc.total_cost} != reference {reference}"
+    if fc.total != reference:
+        yield "fc-matches-reference", f"engine {fc.total} != reference {reference}"
 
-    swallowed = False
-    for report in counting:
-        label = report.label
-        if sum(report.final_state.freq.values()) != n:
-            yield "fc-vfc-conservation", f"{label} counter sum != {n}"
-        if sorted(report.final_state.order) != sorted(instance.order):
-            yield "fc-vfc-conservation", f"{label} lost or invented symbols"
-        sorted_so_far = True
-        cursor = 0
-        for step in report.steps:
-            start, cursor = cursor, cursor + step.requests_consumed
-            freqs = step.freq_after
-            if sorted_so_far and list(freqs) != sorted(freqs, reverse=True):
-                sorted_so_far = False
-                yield "frequencies-non-increasing", f"{label} counters {freqs} after serving {step.request}"
-            if report is fc or step.requests_consumed == 1:
-                continue
-            # a cut-short batch always ends the run, so any batched step
-            # with requests left behind it used its whole window
-            if cursor < n and step.list_after[0] != step.request:
-                yield "batch-promotes-to-head", f"{label} batch on {step.request} left head {step.list_after[0]}"
-            if report is literal and sequence[start:cursor].count(step.request) != cursor - start:
-                swallowed = True
-        if cursor != n:
-            yield "fc-vfc-conservation", f"{label} consumed {cursor} of {n}"
+    for run in (fc, literal, strict):
+        if sum(run.neg) != -n:
+            yield "fc-vfc-conservation", f"{run.label} counter sum != {n}"
+        if sorted(run.order) != sorted(instance.order):
+            yield "fc-vfc-conservation", f"{run.label} lost or invented symbols"
+        if run.unsorted is not None:
+            yield "frequencies-non-increasing", run.unsorted
+        # a cut-short batch always ends the run, so any batched step with
+        # requests left behind it used its whole window
+        for after, detail in run.batches:
+            if after < n:
+                yield "batch-promotes-to-head", detail
+        if run.cursor != n:
+            yield "fc-vfc-conservation", f"{run.label} consumed {run.cursor} of {n}"
 
-    for report in (mtf, trans, fc, strict) if swallowed else (mtf, trans, fc, strict, literal):
-        if report.total_cost < opt:
-            yield "opt-dominates-engines", f"{report.label} total {report.total_cost} < opt {opt}"
+    for run in (mtf, trans, fc, strict) if literal.swallowed else (mtf, trans, fc, strict, literal):
+        if run.total < opt:
+            yield "opt-dominates-engines", f"{run.label} total {run.total} < opt {opt}"
 
     if model is CostModel.FULL:
-        if mtf.total_cost > 2 * opt:
-            yield "mtf-within-twice-opt", f"mtf {mtf.total_cost} > 2*opt {2 * opt}"
-        for report in (mtf, trans, *counting):
-            if report.total_cost < n:
-                yield "full-model-lower-bound", f"{report.label} total {report.total_cost} < n {n}"
+        if mtf.total > 2 * opt:
+            yield "mtf-within-twice-opt", f"mtf {mtf.total} > 2*opt {2 * opt}"
+        for run in runs:
+            if run.total < n:
+                yield "full-model-lower-bound", f"{run.label} total {run.total} < n {n}"

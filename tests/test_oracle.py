@@ -131,34 +131,35 @@ class TestEnumeration:
         assert all(set(s) <= {1, 2} for s in seqs)
 
 
-def _bump_fc_counter(report):
-    if report.label == "fc":
-        report.final_state.freq[report.final_state.order[0]] += 1
-    return report
+def _promote_counter_only(real):
+    def promote(order, neg, j, f):
+        neg[j] = -f
+
+    return promote
 
 
-def _zero_trans_total(report):
-    if report.label == "trans":
-        report.total_cost = 0
-    return report
+def _promote_batch_in_place(real):
+    def promote(order, neg, j, f):
+        if f + neg[j] > 1:  # a batch: the counter grows by more than one
+            neg[j] = -f
+        else:
+            real(order, neg, j, f)
+
+    return promote
 
 
-def _reverse_counters(report):
-    for step in report.steps:
-        if step.freq_after is not None:
-            step.freq_after = step.freq_after[::-1]
-    return report
+def _promote_one_too_many(real):
+    return lambda order, neg, j, f: real(order, neg, j, f + 1)
 
 
-def _rotate_batched_lists(report):
-    for step in report.steps:
-        if step.requests_consumed > 1:
-            step.list_after = step.list_after[1:] + step.list_after[:1]
-    return report
+def _free_head(real):
+    return lambda model, position: 0 if position == 1 else real(model, position)
 
 
-# (check, name the verifier calls, change to its result, first counterexample):
-# each change breaks what its check guards
+# (check, name, change, first counterexample): each change breaks what its
+# check guards. A bare name is one the verifier calls, and change maps its
+# result; a name in ``listlab.algorithms`` is an engine helper that every
+# engine path calls, and change(real) replaces it.
 PERTURBATIONS = [
     (
         "fc-matches-reference",
@@ -180,26 +181,26 @@ PERTURBATIONS = [
     ),
     (
         "fc-vfc-conservation",
-        "run_algorithm",
-        _bump_fc_counter,
-        "order=(1, 2, 3) seq=(): fc counter sum != 0",
+        "algorithms._promote",
+        _promote_one_too_many,
+        "order=(1, 2, 3) seq=(1,): fc counter sum != 1",
     ),
     (
         "full-model-lower-bound",
-        "run_algorithm",
-        _zero_trans_total,
-        "order=(1, 2, 3) seq=(1,): trans total 0 < n 1",
+        "algorithms.access_cost",
+        _free_head,
+        "order=(1, 2, 3) seq=(1,): mtf total 0 < n 1",
     ),
     (
         "frequencies-non-increasing",
-        "run_algorithm",
-        _reverse_counters,
-        "order=(1, 2, 3) seq=(1,): fc counters (0, 0, 1) after serving 1",
+        "algorithms._promote",
+        _promote_counter_only,
+        "order=(1, 2, 3) seq=(2,): fc counters (0, 1, 0) after serving 2",
     ),
     (
         "batch-promotes-to-head",
-        "run_algorithm",
-        _rotate_batched_lists,
+        "algorithms._promote",
+        _promote_batch_in_place,
         "order=(1, 2, 3) seq=(1, 2, 2, 1): vfc[literal] batch on 2 left head 1",
     ),
 ]
@@ -223,8 +224,13 @@ class TestVerification:
 
     @pytest.mark.parametrize("check,name,change,counterexample", PERTURBATIONS, ids=[p[0] for p in PERTURBATIONS])
     def test_perturbation_fails_its_check(self, monkeypatch, check, name, change, counterexample):
-        real = getattr(listlab.oracle, name)
-        monkeypatch.setattr(listlab.oracle, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+        module, _, attr = name.rpartition(".")
+        if module:
+            owner = getattr(listlab, module)
+            monkeypatch.setattr(owner, attr, change(getattr(owner, attr)))
+        else:
+            real = getattr(listlab.oracle, name)
+            monkeypatch.setattr(listlab.oracle, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
         lines = verify_engines(3, 5).summary_lines()
         at = lines.index(f"FAIL {check} (364 instances)")
         assert lines[at + 1] == f"  counterexample: {counterexample}"
@@ -241,6 +247,30 @@ class TestVerification:
         failing = [c for c in report.checks if c.failures]
         assert failing
         assert any("order=" in f and "seq=" in f for c in failing for f in c.failures)
+
+
+@pytest.mark.parametrize("model", list(CostModel))
+def test_prefix_walk_ends_where_each_engine_run_ends(model):
+    """The verifier resumes every instance from the state the previous one
+    left at their shared prefix, VFC from its steps whose whole window lies
+    inside that prefix; each configuration must end where a run over the
+    whole instance ends."""
+    count = 0
+    for instance, runs in listlab.oracle._prefix_runs(4, 6, model):
+        count += 1
+        state = instance.to_state()
+        for (kind, policy), run in zip(listlab.oracle.RUNS, runs):
+            report = run_algorithm(kind, state, instance.sequence, model, policy)
+            walked = (run.label, run.total, run.order, dict(zip(run.order, [-c for c in run.neg])), run.cursor)
+            expected = (
+                report.label,
+                report.total_cost,
+                report.final_state.order,
+                report.final_state.freq,
+                sum(report.consumed_counts),
+            )
+            assert walked == expected, instance
+    assert count == 5461
 
 
 class TestLiteralBatchUndercut:
