@@ -197,17 +197,17 @@ def run_algorithm(
     ``snapshots=True`` additionally captures the list order and counters
     after every step.
     """
-    work = state.copy()
-    order = work.order
-    neg = [-work.freq[s] for s in order]
+    order = list(state.order)
+    neg = [-state.freq[s] for s in order]
     counting = kind is AlgorithmKind.FC or kind is AlgorithmKind.VFC
     if counting and neg != sorted(neg):
         raise UnsortedCounters(
             f"counters {tuple(-c for c in neg)} increase along the list; FC and VFC "
             "need them non-increasing from front to back"
         )
-    # FC and VFC keep their counters in neg alone; MTF and TRANS leave them be
-    counters = (lambda: tuple([-c for c in neg])) if counting else work.frequencies_in_order
+    # FC and VFC keep their counters in neg alone; MTF and TRANS keep the input's
+    freq = state.freq
+    counters = (lambda: tuple([-c for c in neg])) if counting else (lambda: tuple([freq[s] for s in order]))
     step = _engine_step(kind, policy)
     costs = _access_costs(model, len(order))
     steps: list[StepRecord] = []
@@ -222,13 +222,9 @@ def run_algorithm(
         cost = costs[j] + consumed - 1
         total += cost
         if keep_trace:
-            record = StepRecord(sequence[cursor], j + 1, cost, consumed)
-            if snapshots:
-                record.list_after = tuple(order)
-                record.freq_after = counters()
-            steps.append(record)
+            snapshot = (tuple(order), counters()) if snapshots else ()
+            steps.append(StepRecord(sequence[cursor], j + 1, cost, consumed, *snapshot))
         cursor += consumed
-    work.freq = dict(zip(order, counters()))
 
     label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
-    return RunReport(label, total, steps, work)
+    return RunReport(label, total, steps, ListState(order, dict(zip(order, counters()))))

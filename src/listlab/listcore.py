@@ -6,11 +6,10 @@ Every engine reorganizes by free exchanges only: after a step it may move
 the requested element any number of positions toward the front at zero
 cost, and every other symbol keeps its relative order. The oracle's
 dominance check relies on this, and a property test over the snapshots of
-``run_algorithm`` checks it for every engine and policy. Paid exchanges
-(unit cost for swapping two adjacent elements) exist in the cost-model
-vocabulary but are used by none of the shipped engines: even the transpose
-engine's single adjacent swap moves the just-accessed element forward and
-is therefore free.
+``run_algorithm`` checks it for every engine and policy. Neither cost model
+prices paid exchanges (unit cost for swapping two adjacent elements), and no
+engine makes one: even the transpose engine's single adjacent swap moves the
+just-accessed element forward and is therefore free.
 
 Symbols are plain ints: byte values 0..255 for corpus-derived lists, small
 integers for synthetic ones. A request sequence is any int sequence, so a
@@ -19,7 +18,7 @@ integers for synthetic ones. A request sequence is any int sequence, so a
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Symbol = int
 RequestSequence = Sequence[Symbol]
@@ -32,11 +31,10 @@ class ListLabError(Exception):
 class SymbolNotInList(ListLabError):
     """A request named a symbol outside the list's alphabet."""
 
-    def __init__(self, symbol: Symbol, request_index: int | None = None):
+    def __init__(self, symbol: Symbol, request_index: int):
         self.symbol = symbol
         self.request_index = request_index
-        where = "" if request_index is None else f" (request index {request_index})"
-        super().__init__(f"symbol {symbol!r} is not in the list{where}")
+        super().__init__(f"symbol {symbol!r} is not in the list (request index {request_index})")
 
 
 class PositionOutOfRange(ListLabError):
@@ -75,41 +73,22 @@ class ListState:
                 raise InvalidListState(f"symbol {s!r} needs a non-negative counter entry")
 
     @classmethod
-    def from_order(cls, order: Iterable[Symbol], freq: Sequence[int] | None = None) -> "ListState":
-        """Build a state from front-to-back symbols.
-
-        ``freq`` is a per-position sequence of counters aligned with
-        ``order``, or None for all-zero counters. To give the counters as a
-        symbol-to-counter dict, call ``ListState(order, freq)`` directly.
-        """
-        if isinstance(freq, Mapping):
-            raise TypeError("from_order takes counters by position; give a dict to ListState(order, freq)")
+    def from_order(cls, order: Iterable[Symbol]) -> "ListState":
+        """Build a state from front-to-back symbols, every counter zero. For
+        other counters, call ``ListState(order, freq)`` with a dict."""
         symbols = list(order)
-        if freq is None:
-            counters = dict.fromkeys(symbols, 0)
-        else:
-            counters = dict(zip(symbols, freq, strict=True))
-        return cls(symbols, counters)
-
-    def copy(self) -> "ListState":
-        # a copy of a valid state is valid: skip __post_init__'s O(m) checks
-        new = object.__new__(type(self))
-        new.order, new.freq = list(self.order), dict(self.freq)
-        return new
+        return cls(symbols, dict.fromkeys(symbols, 0))
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def frequencies_in_order(self) -> tuple[int, ...]:
-        """Counters read off front to back; handy for sortedness checks."""
-        return tuple(map(self.freq.__getitem__, self.order))
 
 
 @dataclass
 class StepRecord:
     """One engine step: the request served, its pre-access position, the cost
     charged, and how many requests the step consumed (batched lookahead steps
-    consume more than one). Snapshots are filled in only when asked for."""
+    consume more than one). The snapshot of the order and the counters, front
+    to back, after the step is given only when the run is asked for one."""
 
     request: Symbol
     position_before: int
@@ -119,8 +98,9 @@ class StepRecord:
     freq_after: tuple[int, ...] | None = None
 
 
-def access_cost(model: CostModel, position: int) -> int:
-    """Cost of accessing the element at ``position`` under ``model``."""
+def access_cost(model: CostModel | str, position: int) -> int:
+    """Cost of accessing the element at ``position`` under ``model``, a
+    ``CostModel`` or its value; any other value raises ``ValueError``."""
     if position < 1:
         raise PositionOutOfRange(f"positions are 1-based, got {position}")
-    return position if model is CostModel.FULL else position - 1
+    return position if CostModel(model) is CostModel.FULL else position - 1

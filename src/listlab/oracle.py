@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .algorithms import AlgorithmKind, Step, VfcPolicy, _access_costs, _engine_step, _window_end, run_algorithm
-from .listcore import CostModel, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
+from .listcore import CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
 
 MAX_INSTANCE_LIST = 5
 MAX_INSTANCE_SEQ = 10
@@ -63,7 +63,7 @@ class BoundsExceeded(ListLabError):
 @dataclass(frozen=True)
 class SmallInstance:
     """A tiny benchmark case: initial list order (all counters zero), the
-    request sequence, and the cost model."""
+    request sequence, and the cost model (a ``CostModel`` or its value)."""
 
     order: tuple[Symbol, ...]
     sequence: tuple[Symbol, ...]
@@ -72,11 +72,13 @@ class SmallInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(self, "sequence", tuple(self.sequence))
+        object.__setattr__(self, "model", CostModel(self.model))
         if len(self.order) > MAX_INSTANCE_LIST:
             raise InstanceTooLarge(f"list size {len(self.order)} exceeds {MAX_INSTANCE_LIST}")
         if len(self.sequence) > MAX_INSTANCE_SEQ:
             raise InstanceTooLarge(f"sequence length {len(self.sequence)} exceeds {MAX_INSTANCE_SEQ}")
-        self.to_state()  # rejects a repeated symbol, so the two oracles agree on the list
+        if len(set(self.order)) != len(self.order):  # the two oracles would disagree on the list
+            raise InvalidListState("list symbols must be pairwise distinct")
 
     def to_state(self) -> ListState:
         return ListState.from_order(self.order)
@@ -208,7 +210,7 @@ class VerificationReport:
 def verify_engines(
     max_list_size: int = 3,
     max_seq_len: int = 6,
-    model: CostModel = CostModel.FULL,
+    model: CostModel | str = CostModel.FULL,
 ) -> VerificationReport:
     """Exhaustive cross-check of every engine against the oracles.
 
@@ -226,11 +228,12 @@ def verify_engines(
     The engines' states come from one walk over the instances' shared
     prefixes (see the module docstring); no engine is rerun per instance.
     """
+    model = CostModel(model)
     failures: dict[str, list[str]] = {name: [] for name in CHECKS}
     total = 0
     for instance, runs in _prefix_runs(max_list_size, max_seq_len, model):
         total += 1
-        for name, detail in _failures(instance, runs, model):
+        for name, detail in _failures(instance, runs):
             if len(failures[name]) < FAILURE_LIMIT:
                 failures[name].append(f"order={instance.order} seq={instance.sequence}: {detail}")
     skipped = () if model is CostModel.FULL else FULL_MODEL_CHECKS
@@ -308,7 +311,7 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
         previous = sequence
 
 
-def _failures(instance: SmallInstance, runs: list[_Run], model: CostModel) -> Iterator[tuple[str, str]]:
+def _failures(instance: SmallInstance, runs: list[_Run]) -> Iterator[tuple[str, str]]:
     """Yield (check, detail) for every check ``instance`` fails, given the runs after serving it."""
     n = len(instance.sequence)
     reference = naive_fc_cost(instance)
@@ -337,7 +340,7 @@ def _failures(instance: SmallInstance, runs: list[_Run], model: CostModel) -> It
         if run.total < opt:
             yield "opt-dominates-engines", f"{run.label} total {run.total} < opt {opt}"
 
-    if model is CostModel.FULL:
+    if instance.model is CostModel.FULL:
         if mtf.total > 2 * opt:
             yield "mtf-within-twice-opt", f"mtf {mtf.total} > 2*opt {2 * opt}"
         for run in runs:

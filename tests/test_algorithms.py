@@ -22,10 +22,13 @@ FULL = CostModel.FULL
 PARTIAL = CostModel.PARTIAL
 LITERAL = VfcPolicy.LITERAL
 STRICT = VfcPolicy.STRICT_HOMOGENEOUS
+CONFIGURATIONS = [(kind, LITERAL) for kind in AlgorithmKind] + [(AlgorithmKind.VFC, STRICT)]
 
 
 def state(order, freq=None):
-    return ListState.from_order(order, freq)
+    if freq is None:
+        return ListState.from_order(order)
+    return ListState(list(order), dict(zip(order, freq, strict=True)))
 
 
 def first_step(kind, s, sequence, model=FULL, policy=LITERAL):
@@ -202,14 +205,19 @@ class TestRunAlgorithm:
         assert report.steps[-1].list_after == (3, 2, 1)
         assert report.steps[-1].freq_after == (3, 2, 1)
 
+    def test_cost_model_given_by_value(self):
+        report = run_algorithm(AlgorithmKind.MTF, state([1, 2, 3]), (3, 3), "full")
+        assert report.total_cost == run_algorithm(AlgorithmKind.MTF, state([1, 2, 3]), (3, 3), FULL).total_cost == 4
+        with pytest.raises(ValueError):
+            run_algorithm(AlgorithmKind.MTF, state([1, 2, 3]), (3, 3), "bogus")
+
     def test_trace_can_be_dropped(self):
         report = run_algorithm(AlgorithmKind.FC, state([1, 2]), (2, 2, 1), keep_trace=False)
         assert report.steps == []
         assert report.total_cost > 0
 
     def test_labels_name_the_engine_and_vfc_policy(self):
-        configurations = [(kind, LITERAL) for kind in AlgorithmKind] + [(AlgorithmKind.VFC, STRICT)]
-        reports = [run_algorithm(kind, state([1, 2]), (2, 1), FULL, policy) for kind, policy in configurations]
+        reports = [run_algorithm(kind, state([1, 2]), (2, 1), FULL, policy) for kind, policy in CONFIGURATIONS]
         assert {report.label for report in reports} == {"mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"}
 
 
@@ -288,6 +296,39 @@ def test_steps_move_only_the_request_forward(case, kind, policy, model):
         assert after.index(step.request) <= position - 1
         assert [s for s in after if s != step.request] == [s for s in before if s != step.request]
         before = after
+
+
+@st.composite
+def counted_instance(draw, max_m=5, max_n=12):
+    """A list whose counters never increase from front to back, and requests over it."""
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    order = tuple(draw(st.permutations(range(1, m + 1))))
+    freq = sorted(draw(st.lists(st.integers(min_value=0, max_value=4), min_size=m, max_size=m)), reverse=True)
+    seq = draw(st.lists(st.sampled_from(order), max_size=max_n))
+    return order, freq, tuple(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_instance(), st.sampled_from(CONFIGURATIONS), st.sampled_from([FULL, PARTIAL]))
+def test_run_leaves_its_input_and_ends_at_its_last_snapshot(case, configuration, model):
+    """The input state is never written; the final state is the last step's
+    snapshot (the input state when nothing was served), and MTF and TRANS
+    hand back the counters they were given."""
+    order, freq, seq = case
+    kind, policy = configuration
+    counters = dict(zip(order, freq))
+    s = ListState(list(order), dict(counters))
+    report = run_algorithm(kind, s, seq, model, policy, snapshots=True)
+    final = report.final_state
+    assert (s.order, s.freq) == (list(order), counters)
+    assert final.order is not s.order and final.freq is not s.freq
+    if report.steps:
+        last = report.steps[-1]
+        assert final == ListState(list(last.list_after), dict(zip(last.list_after, last.freq_after)))
+    else:
+        assert final == s
+    if kind in (AlgorithmKind.MTF, AlgorithmKind.TRANS):
+        assert final.freq == counters
 
 
 class TestUnsortedCounters:

@@ -7,14 +7,10 @@ FULL = CostModel.FULL
 PARTIAL = CostModel.PARTIAL
 
 
-def state(order, freq=None):
-    return ListState.from_order(order, freq)
-
-
 class TestListState:
     def test_rejects_duplicate_symbols(self):
         with pytest.raises(ValueError):
-            state([1, 2, 1])
+            ListState.from_order([1, 2, 1])
 
     def test_rejects_negative_counter(self):
         with pytest.raises(ValueError):
@@ -24,32 +20,19 @@ class TestListState:
         with pytest.raises(ValueError):
             ListState([1, 2], {1: 0})
 
-    def test_positional_counters(self):
-        s = state([5, 6, 7], (3, 1, 0))
-        assert s.freq == {5: 3, 6: 1, 7: 0}
-        assert s.frequencies_in_order() == (3, 1, 0)
-
-    def test_from_order_refuses_counters_keyed_by_symbol(self):
-        # a dict would otherwise be zipped by its keys, as if they were counters
-        with pytest.raises(TypeError):
-            state([5, 6], {5: 1, 6: 0})
-
-    def test_copy_is_independent(self):
-        s = state([1, 2, 3])
-        c = s.copy()
-        c.order.reverse()
-        c.freq[1] = 9
-        assert s.order == [1, 2, 3]
-        assert s.freq[1] == 0
-
 
 class TestAccessCost:
     @pytest.mark.parametrize(
         "model,position,expected",
-        [(FULL, 3, 3), (PARTIAL, 3, 2), (PARTIAL, 1, 0), (FULL, 1, 1)],
+        # a model may be given by its value
+        [(FULL, 3, 3), (PARTIAL, 3, 2), (PARTIAL, 1, 0), (FULL, 1, 1), ("full", 3, 3), ("partial", 3, 2)],
     )
     def test_models(self, model, position, expected):
         assert access_cost(model, position) == expected
+
+    def test_rejects_unknown_model(self):
+        with pytest.raises(ValueError):
+            access_cost("bogus", 1)
 
     def test_rejects_zero_position(self):
         with pytest.raises(PositionOutOfRange):

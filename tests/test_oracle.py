@@ -120,6 +120,26 @@ class TestBounds:
             enumerate_instances(m, n)
 
 
+class TestCostModelByValue:
+    """A model given by its value is that model; an unknown value is refused."""
+
+    def test_instance(self):
+        inst = SmallInstance((1, 2, 3), (3, 3), "full")
+        assert inst.model is FULL
+        assert opt_free_exchange_cost(inst) == naive_fc_cost(inst) == 4
+
+    def test_instance_rejects_unknown_model(self):
+        with pytest.raises(ValueError):
+            SmallInstance((1, 2, 3), (3, 3), "bogus")
+
+    def test_verify(self):
+        assert verify_engines(2, 3, "full").summary_lines() == verify_engines(2, 3, FULL).summary_lines()
+
+    def test_verify_rejects_unknown_model(self):
+        with pytest.raises(ValueError):
+            verify_engines(2, 3, "bogus")
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("m,n,count", [(1, 2, 3), (2, 2, 7), (3, 6, 1093)])
     def test_counts(self, m, n, count):
