@@ -31,12 +31,15 @@ c - 1, whose successor is below f when c < j and is the accessed element
 itself when c == j. So the element stays put when c == j, and otherwise goes
 to c - 1 if that counter equals f and to c if it does not.
 
-``run_algorithm`` is the one run loop. Each engine is a step over the order
-and the negated counters (FC and VFC keep their counters there alone until
-the run ends): it serves the request at a cursor, any window clipped at a
-given end, and returns the accessed index j and the requests consumed. The
-loop charges the access cost at position j + 1 plus one unit per extra
-consumed request, and keeps the trace; the verifier drives the same steps.
+Each engine configuration is one range kernel, ``serve(order, neg, sequence,
+cursor, stop, costs, trace) -> (cursor, total)``, over the order and the
+negated counters (FC and VFC keep their counters there alone until the run
+ends). It serves every step that starts before ``stop``, windows clipped at
+the sequence's end, charging ``costs[j]`` for an access at index j plus one
+unit per extra consumed request and appending a ``StepRecord`` per step to a
+``trace`` that is not None; it returns the cursor after its last step and the
+cost charged. ``run_algorithm`` calls it once per run, or once per step to
+take snapshots; the verifier drives the same kernels a step at a time.
 """
 
 from bisect import bisect_right
@@ -55,8 +58,8 @@ from .listcore import (
     access_cost,
 )
 
-# (order, negated counters, sequence, cursor, window clip) -> (accessed index, requests consumed)
-Step = Callable[[list[Symbol], list[int], RequestSequence, int, int], tuple[int, int]]
+Kernel = Callable[[list[Symbol], list[int], RequestSequence, int, int, list[int], list[StepRecord] | None],
+                  tuple[int, int]]  # a range kernel, see the module docstring
 
 
 class UnsortedCounters(ListLabError):
@@ -120,59 +123,106 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
     neg.insert(c, -f)
 
 
-def _window_end(neg: list[int], g: int, cursor: int) -> int:
-    """One past the VFC window of a request with counter ``g`` at ``cursor``,
-    before the clip at the sequence's end: the budget |g - f_head| + 1."""
-    return cursor - neg[0] - g + 1
+def _mtf(order, neg, sequence, cursor, stop, costs, trace):
+    total = 0
+    try:
+        for request in sequence[cursor:stop]:
+            j = order.index(request)
+            if j:
+                order.insert(0, order.pop(j))
+            total += costs[j]
+            if trace is not None:
+                trace.append(StepRecord(request, j + 1, costs[j]))
+    except ValueError:  # every earlier request was served, so this is its first occurrence
+        raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+    return stop, total
 
 
-def _mtf(order: list[Symbol], neg: list[int], sequence: RequestSequence, cursor: int, n: int) -> tuple[int, int]:
-    j = order.index(sequence[cursor])
-    if j:
-        order.insert(0, order.pop(j))
-    return j, 1
+def _trans(order, neg, sequence, cursor, stop, costs, trace):
+    total = 0
+    try:
+        for request in sequence[cursor:stop]:
+            j = order.index(request)
+            if j:
+                order[j - 1], order[j] = order[j], order[j - 1]
+            total += costs[j]
+            if trace is not None:
+                trace.append(StepRecord(request, j + 1, costs[j]))
+    except ValueError:
+        raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+    return stop, total
 
 
-def _trans(order: list[Symbol], neg: list[int], sequence: RequestSequence, cursor: int, n: int) -> tuple[int, int]:
-    j = order.index(sequence[cursor])
-    if j:
-        order[j - 1], order[j] = order[j], order[j - 1]
-    return j, 1
+def _fc(order, neg, sequence, cursor, stop, costs, trace):
+    total = 0
+    try:
+        for request in sequence[cursor:stop]:
+            j = order.index(request)
+            _promote(order, neg, j, 1 - neg[j])
+            total += costs[j]
+            if trace is not None:
+                trace.append(StepRecord(request, j + 1, costs[j]))
+    except ValueError:
+        raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+    return stop, total
 
 
-def _counting(lookahead: VfcPolicy | None) -> Step:
-    """FC's step when ``lookahead`` is None, VFC's under that policy otherwise."""
-
-    def step(order: list[Symbol], neg: list[int], sequence: RequestSequence, cursor: int, n: int) -> tuple[int, int]:
-        request = sequence[cursor]
-        j = order.index(request)
-        g = -neg[j]
-        consumed = 1
-        if lookahead is not None and -neg[0] > g:
-            start = cursor + 1
-            stop = min(_window_end(neg, g, cursor), n)
-            if lookahead is VfcPolicy.LITERAL:
-                # bytes, list and tuple all expose bounded index()
-                try:
-                    sequence.index(request, start, stop)  # type: ignore[attr-defined]
-                    consumed = stop - cursor
+def _vfc_literal(order, neg, sequence, cursor, stop, costs, trace):
+    n = len(sequence)
+    total = 0
+    try:
+        while cursor < stop:
+            request = sequence[cursor]
+            j = order.index(request)
+            consumed = 1
+            if neg[0] < neg[j]:  # the head's counter is above the request's
+                end = min(cursor - neg[0] + neg[j] + 1, n)
+                try:  # bytes, list and tuple all expose bounded index()
+                    sequence.index(request, cursor + 1, end)  # type: ignore[attr-defined]
+                    consumed = end - cursor
                 except ValueError:
                     pass
-            # the last request is the cheapest one to rule a window out by
-            elif stop > start and sequence[stop - 1] == request and sequence[start:stop].count(request) == stop - start:
-                consumed = stop - cursor
-        _promote(order, neg, j, g + consumed)
-        return j, consumed
-
-    return step
-
-
-_STEPS = {AlgorithmKind.MTF: _mtf, AlgorithmKind.TRANS: _trans, AlgorithmKind.FC: _counting(None)}
-_STEPS |= {policy: _counting(policy) for policy in VfcPolicy}  # VFC's steps are keyed by policy
+            _promote(order, neg, j, consumed - neg[j])
+            cost = costs[j] + consumed - 1
+            total += cost
+            if trace is not None:
+                trace.append(StepRecord(request, j + 1, cost, consumed))
+            cursor += consumed
+    except ValueError:
+        raise SymbolNotInList(request, cursor) from None
+    return cursor, total
 
 
-def _engine_step(kind: AlgorithmKind, policy: VfcPolicy) -> Step:
-    return _STEPS[policy if kind is AlgorithmKind.VFC else kind]
+def _vfc_strict(order, neg, sequence, cursor, stop, costs, trace):
+    n = len(sequence)
+    total = 0
+    try:
+        while cursor < stop:
+            request = sequence[cursor]
+            j = order.index(request)
+            consumed = 1
+            # a homogeneous window starts with a repeat, so that rules most windows out first
+            if cursor + 1 < n and sequence[cursor + 1] == request and neg[0] < neg[j]:
+                end = min(cursor - neg[0] + neg[j] + 1, n)
+                if sequence[end - 1] == request and sequence[cursor + 1 : end].count(request) == end - cursor - 1:
+                    consumed = end - cursor
+            _promote(order, neg, j, consumed - neg[j])
+            cost = costs[j] + consumed - 1
+            total += cost
+            if trace is not None:
+                trace.append(StepRecord(request, j + 1, cost, consumed))
+            cursor += consumed
+    except ValueError:
+        raise SymbolNotInList(request, cursor) from None
+    return cursor, total
+
+
+_KERNELS: dict[object, Kernel] = {AlgorithmKind.MTF: _mtf, AlgorithmKind.TRANS: _trans, AlgorithmKind.FC: _fc}
+_KERNELS |= {VfcPolicy.LITERAL: _vfc_literal, VfcPolicy.STRICT_HOMOGENEOUS: _vfc_strict}  # VFC's keyed by policy
+
+
+def _kernel(kind: AlgorithmKind, policy: VfcPolicy) -> Kernel:
+    return _KERNELS[policy if kind is AlgorithmKind.VFC else kind]
 
 
 def _access_costs(model: CostModel, m: int) -> list[int]:
@@ -208,23 +258,17 @@ def run_algorithm(
     # FC and VFC keep their counters in neg alone; MTF and TRANS keep the input's
     freq = state.freq
     counters = (lambda: tuple([-c for c in neg])) if counting else (lambda: tuple([freq[s] for s in order]))
-    step = _engine_step(kind, policy)
+    serve = _kernel(kind, policy)
     costs = _access_costs(model, len(order))
-    steps: list[StepRecord] = []
-    total = 0
-    n = len(sequence)
-    cursor = 0
-    while cursor < n:
-        try:
-            j, consumed = step(order, neg, sequence, cursor, n)
-        except ValueError:
-            raise SymbolNotInList(sequence[cursor], cursor) from None
-        cost = costs[j] + consumed - 1
-        total += cost
-        if keep_trace:
-            snapshot = (tuple(order), counters()) if snapshots else ()
-            steps.append(StepRecord(sequence[cursor], j + 1, cost, consumed, *snapshot))
-        cursor += consumed
+    trace: list[StepRecord] | None = [] if keep_trace else None
+    if snapshots and trace is not None:  # one step a call, to read the state after each
+        cursor = total = 0
+        while cursor < len(sequence):
+            cursor, cost = serve(order, neg, sequence, cursor, cursor + 1, costs, trace)
+            total += cost
+            trace[-1].list_after, trace[-1].freq_after = tuple(order), counters()
+    else:
+        total = serve(order, neg, sequence, 0, len(sequence), costs, trace)[1]
 
     label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
-    return RunReport(label, total, steps, ListState(order, dict(zip(order, counters()))))
+    return RunReport(label, total, trace or [], ListState(order, dict(zip(order, counters()))))

@@ -83,7 +83,7 @@ class ListState:
         return len(self.order)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One engine step: the request served, its pre-access position, the cost
     charged, and how many requests the step consumed (batched lookahead steps

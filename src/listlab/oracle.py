@@ -25,14 +25,14 @@ B - 1 repeats at the head, so dominance holds for them unconditionally.
 The dominance check therefore covers MTF, TRANS, FC and strict VFC on every
 instance, and literal VFC only on runs whose batches swallowed nothing.
 
-The verifier reruns no engine per instance: it keeps each engine's state
-after each prefix of the previous instance and resumes from the longest
-prefix the two share. MTF, TRANS and FC are online, so that state holds for
-every extension. A VFC step reads a window of later requests, clipped at the
-sequence's end, so only steps whose unclipped window lies inside the prefix
-hold for every extension; the chain commits those, and each instance serves
-the rest with the window clipped at its own end. The references stay per
-instance and from scratch, so they share nothing with the walk they check.
+The verifier reruns no engine per instance. It drives the kernels of
+``run_algorithm`` one step a call over each prefix, keeps each engine's state
+per prefix, and resumes the next instance from the longest prefix the two
+share. MTF, TRANS and FC are online, so that state holds for every extension.
+A VFC step reads a window of later requests, clipped at the sequence's end,
+so only steps whose unclipped window lies in the prefix hold for every
+extension; the chain commits those, and each instance serves the rest over
+its own end. The references stay per instance and from scratch.
 """
 
 import itertools
@@ -41,7 +41,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .algorithms import AlgorithmKind, Step, VfcPolicy, _access_costs, _engine_step, _window_end, run_algorithm
+from .algorithms import AlgorithmKind, Kernel, VfcPolicy, _access_costs, _kernel, run_algorithm
 from .listcore import CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
 
 MAX_INSTANCE_LIST = 5
@@ -247,7 +247,7 @@ class _Run:
     step checks found; a prefix's run is shared, so serving copies it."""
 
     label: str
-    step: Step
+    serve: Kernel
     lookahead: bool
     order: list[Symbol]
     neg: list[int]  # negated counters, aligned with order
@@ -263,32 +263,33 @@ class _Run:
         report = run_algorithm(kind, instance.to_state(), (), instance.model, policy, keep_trace=False)
         order, freq = report.final_state.order, report.final_state.freq
         neg = [-freq[s] for s in order]
-        return cls(report.label, _engine_step(kind, policy), kind is AlgorithmKind.VFC, order, neg)
+        return cls(report.label, _kernel(kind, policy), kind is AlgorithmKind.VFC, order, neg)
 
-    def served(self, sequence: RequestSequence, end: int, costs: list[int], committed: bool) -> "_Run":
-        """The run after the requests before ``end``, windows clipped there;
-        ``committed`` stops at the first window reaching past ``end``, so
-        every step taken holds for any extension of ``sequence[:end]``."""
-        run, order, neg = self, self.order, self.neg
+    def served(self, sequence: RequestSequence, costs: list[int], committed: bool) -> "_Run":
+        """The run after ``sequence``, its kernel driven one step a call, so
+        windows clip at the end; ``committed`` stops at the first window
+        reaching past the end, so every step taken holds for any extension."""
+        run, order, neg, end = self, self.order, self.neg, len(sequence)
         while run.cursor < end:
             cursor = run.cursor
             request = sequence[cursor]
-            # a step with no window (head counter <= g) ends by cursor + 1 <= end
-            if committed and self.lookahead and _window_end(neg, -neg[order.index(request)], cursor) > end:
+            # the unclipped window ends at cursor + |g - f_head| + 1; a step
+            # with no window (head counter <= g) ends by cursor + 1 <= end
+            if committed and self.lookahead and cursor - neg[0] + neg[order.index(request)] + 1 > end:
                 break
             if run is self:
-                run = _Run(self.label, self.step, self.lookahead, order[:], neg[:], cursor, self.total,
+                run = _Run(self.label, self.serve, self.lookahead, order[:], neg[:], cursor, self.total,
                            self.unsorted, self.batches, self.swallowed)
                 order, neg = run.order, run.neg
-            j, consumed = self.step(order, neg, sequence, cursor, end)
-            run.cursor = after = cursor + consumed
-            run.total += costs[j] + consumed - 1
+            after, cost = self.serve(order, neg, sequence, cursor, cursor + 1, costs, None)
+            run.cursor = after
+            run.total += cost
             if run.unsorted is None and neg != sorted(neg):
                 run.unsorted = f"{self.label} counters {tuple(-c for c in neg)} after serving {request}"
-            if consumed > 1:
+            if after - cursor > 1:
                 if order[0] != request:
                     run.batches += ((after, f"{self.label} batch on {request} left head {order[0]}"),)
-                run.swallowed |= sequence[cursor:after].count(request) != consumed
+                run.swallowed |= sequence[cursor:after].count(request) != after - cursor
         return run
 
 
@@ -306,8 +307,8 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
         shared = next((k for k, (a, b) in enumerate(pairs) if a != b), len(pairs))
         del chain[shared + 1 :]
         for end in range(shared + 1, len(sequence) + 1):
-            chain.append([run.served(sequence, end, costs, True) for run in chain[-1]])
-        yield instance, [run.served(sequence, len(sequence), costs, False) for run in chain[-1]]
+            chain.append([run.served(sequence[:end], costs, True) for run in chain[-1]])
+        yield instance, [run.served(sequence, costs, False) for run in chain[-1]]
         previous = sequence
 
 

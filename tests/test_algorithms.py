@@ -198,6 +198,25 @@ class TestRunAlgorithm:
             run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 7), FULL)
         assert exc.value.request_index == 1
 
+    def test_literal_batch_swallows_an_absent_request(self):
+        # the batch on 2 at index 2 consumes (2, 9, 2), so the first request
+        # served that is not listed is the 7, not the earlier 9
+        with pytest.raises(SymbolNotInList) as exc:
+            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, LITERAL)
+        assert (exc.value.symbol, exc.value.request_index) == (7, 5)
+        with pytest.raises(SymbolNotInList) as exc:
+            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, STRICT)
+        assert (exc.value.symbol, exc.value.request_index) == (9, 3)
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda c: f"{c[0].value}-{c[1].value}")
+    @pytest.mark.parametrize("sequence,index", [((9, 1, 2), 0), ((2, 1, 2, 9), 3), ((9,), 0)])
+    def test_absent_request_at_either_end(self, configuration, sequence, index):
+        kind, policy = configuration
+        for snapshots in (False, True):
+            with pytest.raises(SymbolNotInList) as exc:
+                run_algorithm(kind, state([1, 2]), sequence, FULL, policy, snapshots=snapshots)
+            assert (exc.value.symbol, exc.value.request_index) == (9, index)
+
     def test_snapshots_capture_order_and_counters(self):
         report = run_algorithm(
             AlgorithmKind.VFC, state([1, 2, 3]), (1, 2, 2, 3, 3, 3), FULL, snapshots=True
@@ -329,6 +348,27 @@ def test_run_leaves_its_input_and_ends_at_its_last_snapshot(case, configuration,
         assert final == s
     if kind in (AlgorithmKind.MTF, AlgorithmKind.TRANS):
         assert final.freq == counters
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_instance(max_n=24), st.sampled_from(CONFIGURATIONS), st.sampled_from([FULL, PARTIAL]))
+def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
+    """A run without a trace, a traced run and a run with snapshots (served a
+    step at a time) end with the same total and state, and the traced steps
+    charge that total between them."""
+    order, freq, seq = case
+    kind, policy = configuration
+    s = ListState(list(order), dict(zip(order, freq)))
+    plain = run_algorithm(kind, s, seq, model, policy, keep_trace=False)
+    traced = run_algorithm(kind, s, seq, model, policy)
+    stepped = run_algorithm(kind, s, seq, model, policy, snapshots=True)
+    for report in (traced, stepped):
+        assert (report.total_cost, report.final_state) == (plain.total_cost, plain.final_state)
+        assert sum(report.step_costs) == report.total_cost
+        assert sum(report.consumed_counts) == len(seq)
+    assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in stepped.steps] == [
+        (r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in traced.steps
+    ]
 
 
 class TestUnsortedCounters:
