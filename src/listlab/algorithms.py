@@ -31,15 +31,17 @@ c - 1, whose successor is below f when c < j and is the accessed element
 itself when c == j. So the element stays put when c == j, and otherwise goes
 to c - 1 if that counter equals f and to c if it does not.
 
-Each engine configuration is one range kernel, ``serve(order, neg, sequence,
-cursor, stop, costs, trace) -> (cursor, total)``, over the order and the
-negated counters (FC and VFC keep their counters there alone until the run
-ends). It serves every step that starts before ``stop``, windows clipped at
-the sequence's end, charging ``costs[j]`` for an access at index j plus one
-unit per extra consumed request and appending a ``StepRecord`` per step to a
-``trace`` that is not None; it returns the cursor after its last step and the
-cost charged. ``run_algorithm`` calls it once per run, or once per step to
-take snapshots; the verifier drives the same kernels a step at a time.
+One range kernel per engine; VFC's policies share one, built per policy,
+whose batch trigger is its only branch on the policy. A kernel,
+``serve(order, neg, sequence, cursor, stop, costs, trace) -> (cursor,
+total)``, works over the order and the negated counters (FC and VFC keep
+their counters there alone until the run ends). It serves every step that
+starts before ``stop``, windows clipped at the sequence's end, charging
+``costs[j]`` for an access at index j plus one unit per extra consumed
+request and appending a ``StepRecord`` per step to a ``trace`` that is not
+None; it returns the cursor after its last step and the cost charged.
+``run_algorithm`` calls it once per run, or once per step to take snapshots;
+the verifier drives the same kernels a step at a time.
 """
 
 from bisect import bisect_right
@@ -74,7 +76,8 @@ class AlgorithmKind(Enum):
 
 
 class VfcPolicy(Enum):
-    """How VFC's batch trigger reads the lookahead window.
+    """How VFC's batch trigger reads the lookahead window: the policies share
+    one kernel, and this trigger is all that differs between them.
 
     LITERAL batches when the current symbol occurs anywhere in the window,
     so a consumed block may swallow requests for other symbols.
@@ -99,14 +102,6 @@ class RunReport:
     total_cost: int
     steps: list[StepRecord]
     final_state: ListState
-
-    @property
-    def step_costs(self) -> list[int]:
-        return [s.cost_charged for s in self.steps]
-
-    @property
-    def consumed_counts(self) -> list[int]:
-        return [s.requests_consumed for s in self.steps]
 
 
 def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
@@ -167,58 +162,44 @@ def _fc(order, neg, sequence, cursor, stop, costs, trace):
     return stop, total
 
 
-def _vfc_literal(order, neg, sequence, cursor, stop, costs, trace):
-    n = len(sequence)
-    total = 0
-    try:
-        while cursor < stop:
-            request = sequence[cursor]
-            j = order.index(request)
-            consumed = 1
-            if neg[0] < neg[j]:  # the head's counter is above the request's
-                end = min(cursor - neg[0] + neg[j] + 1, n)
-                try:  # bytes, list and tuple all expose bounded index()
-                    sequence.index(request, cursor + 1, end)  # type: ignore[attr-defined]
-                    consumed = end - cursor
-                except ValueError:
-                    pass
-            _promote(order, neg, j, consumed - neg[j])
-            cost = costs[j] + consumed - 1
-            total += cost
-            if trace is not None:
-                trace.append(StepRecord(request, j + 1, cost, consumed))
-            cursor += consumed
-    except ValueError:
-        raise SymbolNotInList(request, cursor) from None
-    return cursor, total
+def _vfc(strict: bool) -> Kernel:
+    """VFC's range kernel under one batch trigger (see :class:`VfcPolicy`)."""
 
+    def serve(order, neg, sequence, cursor, stop, costs, trace):
+        n = len(sequence)
+        total = 0
+        try:
+            while cursor < stop:
+                request = sequence[cursor]
+                j = order.index(request)
+                consumed = 1
+                # a window opens when the head's counter is above the request's; a homogeneous
+                # one starts and ends with a repeat, so strict tests both before slicing it
+                if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
+                    end = min(cursor - neg[0] + neg[j] + 1, n)
+                    if not strict:
+                        try:  # bytes, list and tuple all expose bounded index()
+                            sequence.index(request, cursor + 1, end)  # type: ignore[attr-defined]
+                            consumed = end - cursor
+                        except ValueError:
+                            pass
+                    elif sequence[end - 1] == request and sequence[cursor + 1 : end].count(request) == end - cursor - 1:
+                        consumed = end - cursor
+                _promote(order, neg, j, consumed - neg[j])
+                cost = costs[j] + consumed - 1
+                total += cost
+                if trace is not None:
+                    trace.append(StepRecord(request, j + 1, cost, consumed))
+                cursor += consumed
+        except ValueError:
+            raise SymbolNotInList(request, cursor) from None
+        return cursor, total
 
-def _vfc_strict(order, neg, sequence, cursor, stop, costs, trace):
-    n = len(sequence)
-    total = 0
-    try:
-        while cursor < stop:
-            request = sequence[cursor]
-            j = order.index(request)
-            consumed = 1
-            # a homogeneous window starts with a repeat, so that rules most windows out first
-            if cursor + 1 < n and sequence[cursor + 1] == request and neg[0] < neg[j]:
-                end = min(cursor - neg[0] + neg[j] + 1, n)
-                if sequence[end - 1] == request and sequence[cursor + 1 : end].count(request) == end - cursor - 1:
-                    consumed = end - cursor
-            _promote(order, neg, j, consumed - neg[j])
-            cost = costs[j] + consumed - 1
-            total += cost
-            if trace is not None:
-                trace.append(StepRecord(request, j + 1, cost, consumed))
-            cursor += consumed
-    except ValueError:
-        raise SymbolNotInList(request, cursor) from None
-    return cursor, total
+    return serve
 
 
 _KERNELS: dict[object, Kernel] = {AlgorithmKind.MTF: _mtf, AlgorithmKind.TRANS: _trans, AlgorithmKind.FC: _fc}
-_KERNELS |= {VfcPolicy.LITERAL: _vfc_literal, VfcPolicy.STRICT_HOMOGENEOUS: _vfc_strict}  # VFC's keyed by policy
+_KERNELS |= {p: _vfc(p is VfcPolicy.STRICT_HOMOGENEOUS) for p in VfcPolicy}  # VFC's keyed by policy
 
 
 def _kernel(kind: AlgorithmKind, policy: VfcPolicy) -> Kernel:
@@ -244,8 +225,8 @@ def run_algorithm(
 
     Every request is consumed exactly once across steps. ``keep_trace=False``
     drops the per-step records (corpus-scale runs only need totals);
-    ``snapshots=True`` additionally captures the list order and counters
-    after every step.
+    ``snapshots=True`` keeps them whatever ``keep_trace`` says, and also
+    captures the list order and counters after every step.
     """
     order = list(state.order)
     neg = [-state.freq[s] for s in order]
@@ -260,15 +241,15 @@ def run_algorithm(
     counters = (lambda: tuple([-c for c in neg])) if counting else (lambda: tuple([freq[s] for s in order]))
     serve = _kernel(kind, policy)
     costs = _access_costs(model, len(order))
-    trace: list[StepRecord] | None = [] if keep_trace else None
-    if snapshots and trace is not None:  # one step a call, to read the state after each
+    trace: list[StepRecord] = []
+    if snapshots:  # one step a call, to read the state after each
         cursor = total = 0
         while cursor < len(sequence):
             cursor, cost = serve(order, neg, sequence, cursor, cursor + 1, costs, trace)
             total += cost
             trace[-1].list_after, trace[-1].freq_after = tuple(order), counters()
     else:
-        total = serve(order, neg, sequence, 0, len(sequence), costs, trace)[1]
+        total = serve(order, neg, sequence, 0, len(sequence), costs, trace if keep_trace else None)[1]
 
     label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
-    return RunReport(label, total, trace or [], ListState(order, dict(zip(order, counters()))))
+    return RunReport(label, total, trace, ListState(order, dict(zip(order, counters()))))

@@ -105,11 +105,13 @@ def _parse_distribution(spec: str):
     name, _, arg = spec.partition(":")
     if name == "uniform":
         return Uniform()
-    if name == "zipf":
-        return Zipf(float(arg)) if arg else Zipf()
-    if name == "runs":
-        return RunLengths(float(arg)) if arg else RunLengths()
-    raise ValueError(f"unknown distribution {spec!r} (use uniform, zipf[:EXP], runs[:MEAN])")
+    if name not in ("zipf", "runs"):
+        raise ValueError(f"unknown distribution {spec!r} (use uniform, zipf[:EXP], runs[:MEAN])")
+    make = Zipf if name == "zipf" else RunLengths
+    try:  # the constructors only store their argument; generate_sequence checks its range
+        return make(float(arg)) if arg else make()
+    except ValueError:
+        raise ValueError(f"--generate {spec!r}: {arg!r} is not a number") from None
 
 
 def _gather_inputs(args) -> list[tuple[str, RequestSequence]]:

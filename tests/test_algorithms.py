@@ -38,6 +38,14 @@ def first_step(kind, s, sequence, model=FULL, policy=LITERAL):
     return run_algorithm(kind, s, sequence, model, policy, snapshots=True).steps[0]
 
 
+def step_costs(report):
+    return [step.cost_charged for step in report.steps]
+
+
+def consumed_counts(report):
+    return [step.requests_consumed for step in report.steps]
+
+
 def counters_after(step):
     return dict(zip(step.list_after, step.freq_after))
 
@@ -54,13 +62,13 @@ class TestMtf:
     def test_full_run_total(self):
         # step costs 1,2,1,3,1,1 by direct simulation
         report = run_algorithm(AlgorithmKind.MTF, state([1, 2, 3]), (1, 2, 2, 3, 3, 3), FULL)
-        assert report.step_costs == [1, 2, 1, 3, 1, 1]
+        assert step_costs(report) == [1, 2, 1, 3, 1, 1]
         assert report.total_cost == 9
 
     def test_ignores_counters(self):
         zero = run_algorithm(AlgorithmKind.MTF, state([1, 2, 3]), (3, 1, 2, 3))
         skewed = run_algorithm(AlgorithmKind.MTF, state([1, 2, 3], (9, 0, 4)), (3, 1, 2, 3))
-        assert zero.step_costs == skewed.step_costs
+        assert step_costs(zero) == step_costs(skewed)
         assert zero.final_state.order == skewed.final_state.order
 
 
@@ -107,12 +115,12 @@ class TestReorganize:
 class TestFc:
     def test_reference_instance_with_interleaved_requests(self):
         report = run_algorithm(AlgorithmKind.FC, state([1, 2, 3]), (1, 2, 2, 3, 2, 3), FULL)
-        assert report.step_costs == [1, 2, 2, 3, 1, 3]
+        assert step_costs(report) == [1, 2, 2, 3, 1, 3]
         assert report.total_cost == 12
 
     def test_reference_instance_with_run_suffix(self):
         report = run_algorithm(AlgorithmKind.FC, state([1, 2, 3]), (1, 2, 2, 3, 3, 3), FULL)
-        assert report.step_costs == [1, 2, 2, 3, 3, 1]
+        assert step_costs(report) == [1, 2, 2, 3, 3, 1]
         assert report.total_cost == 12
 
     def test_singleton_list(self):
@@ -178,8 +186,8 @@ class TestRunAlgorithm:
                 AlgorithmKind.VFC, state([1, 2, 3]), (1, 2, 2, 3, 3, 3), FULL, policy
             )
             assert report.total_cost == 9
-            assert report.step_costs == [1, 3, 5]
-            assert report.consumed_counts == [1, 2, 3]
+            assert step_costs(report) == [1, 3, 5]
+            assert consumed_counts(report) == [1, 2, 3]
             assert report.final_state.order == [3, 2, 1]
 
     def test_empty_sequence(self):
@@ -235,6 +243,10 @@ class TestRunAlgorithm:
         assert report.steps == []
         assert report.total_cost > 0
 
+    def test_snapshots_keep_the_trace(self):
+        report = run_algorithm(AlgorithmKind.FC, state([1, 2]), (2, 2, 1), keep_trace=False, snapshots=True)
+        assert [(step.request, step.list_after) for step in report.steps] == [(2, (2, 1)), (2, (2, 1)), (1, (2, 1))]
+
     def test_labels_name_the_engine_and_vfc_policy(self):
         reports = [run_algorithm(kind, state([1, 2]), (2, 1), FULL, policy) for kind, policy in CONFIGURATIONS]
         assert {report.label for report in reports} == {"mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"}
@@ -254,7 +266,7 @@ def small_instance(draw, max_m=4, max_n=24):
 def test_every_engine_consumes_each_request_once(case, kind, model):
     order, seq = case
     report = run_algorithm(kind, state(order), seq, model)
-    assert sum(report.consumed_counts) == len(seq)
+    assert sum(consumed_counts(report)) == len(seq)
     assert sorted(report.final_state.order) == sorted(order)
 
 
@@ -272,7 +284,7 @@ def test_engines_are_deterministic(case, kind, policy):
     order, seq = case
     first = run_algorithm(kind, state(order), seq, FULL, policy)
     second = run_algorithm(kind, state(order), seq, FULL, policy)
-    assert first.step_costs == second.step_costs
+    assert step_costs(first) == step_costs(second)
     assert first.final_state == second.final_state
 
 
@@ -327,6 +339,50 @@ def counted_instance(draw, max_m=5, max_n=12):
     return order, freq, tuple(seq)
 
 
+def naive_vfc_steps(order, freq, sequence, model, policy):
+    """VFC's ``(request, position_before, cost_charged, requests_consumed)``
+    per step, by the rule in the ``algorithms`` docstring applied directly
+    over ``(symbol, counter)`` entries: below the head's counter f_head, the
+    request's counter g opens a window of the ``f_head - g`` requests after
+    it; if the trigger fires, the request and its window (clipped at the end)
+    are consumed as one block of B requests, charged the access cost plus
+    B - 1, and g grows by B before the one FC reorganization."""
+    entries = [[s, f] for s, f in zip(order, freq)]
+    steps = []
+    cursor = 0
+    while cursor < len(sequence):
+        request = sequence[cursor]
+        k = [e[0] for e in entries].index(request)
+        g, head = entries[k][1], entries[0][1]
+        block = 1
+        if g < head:
+            window = sequence[cursor + 1 : cursor + 1 + head - g]
+            if policy is LITERAL:
+                fires = request in window
+            else:
+                fires = len(window) > 0 and all(r == request for r in window)
+            if fires:
+                block = 1 + len(window)
+        steps.append((request, k + 1, (k + 1 if model is FULL else k) + block - 1, block))
+        entries[k][1] = f = g + block
+        for i in range(k):
+            # entries[i + 1] may be the accessed entry itself, counter updated
+            if f > entries[i][1] or (f == entries[i][1] and f > entries[i + 1][1]):
+                entries.insert(i, entries.pop(k))
+                break
+        cursor += block
+    return steps
+
+
+@settings(max_examples=500, deadline=None)
+@given(counted_instance(), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
+def test_vfc_steps_match_reference(case, policy, model):
+    order, freq, seq = case
+    report = run_algorithm(AlgorithmKind.VFC, ListState(list(order), dict(zip(order, freq))), seq, model, policy)
+    steps = [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps]
+    assert steps == naive_vfc_steps(order, freq, seq, model, policy)
+
+
 @settings(max_examples=300, deadline=None)
 @given(counted_instance(), st.sampled_from(CONFIGURATIONS), st.sampled_from([FULL, PARTIAL]))
 def test_run_leaves_its_input_and_ends_at_its_last_snapshot(case, configuration, model):
@@ -364,8 +420,8 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
     stepped = run_algorithm(kind, s, seq, model, policy, snapshots=True)
     for report in (traced, stepped):
         assert (report.total_cost, report.final_state) == (plain.total_cost, plain.final_state)
-        assert sum(report.step_costs) == report.total_cost
-        assert sum(report.consumed_counts) == len(seq)
+        assert sum(step_costs(report)) == report.total_cost
+        assert sum(consumed_counts(report)) == len(seq)
     assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in stepped.steps] == [
         (r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in traced.steps
     ]
@@ -413,7 +469,7 @@ def oracle_instance(draw):
 @given(oracle_instance())
 def test_fc_step_costs_match_reference(inst):
     report = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, inst.model)
-    assert report.step_costs == naive_fc_step_costs(inst)
+    assert step_costs(report) == naive_fc_step_costs(inst)
 
 
 # Totals of every engine configuration over the surrogate corpus texts

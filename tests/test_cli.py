@@ -117,6 +117,12 @@ class TestGenerate:
             assert code == 1
             assert "exponent must be finite" in err
 
+    @pytest.mark.parametrize("spec,value", [("zipf:abc", "abc"), ("runs:8x", "8x")])
+    def test_unparsable_argument_names_the_option_and_value(self, spec, value):
+        code, _, err = run_cli(["run", "--generate", spec, "--length", "20"])
+        assert code == 1
+        assert "--generate" in err and repr(value) in err
+
 
 # (directory, basename) pairs; "demo" collides with the --demo label, and
 # drawing one pair twice gives the same path twice

@@ -287,7 +287,7 @@ def test_prefix_walk_ends_where_each_engine_run_ends(model):
                 report.total_cost,
                 report.final_state.order,
                 report.final_state.freq,
-                sum(report.consumed_counts),
+                sum(step.requests_consumed for step in report.steps),
             )
             assert walked == expected, instance
     assert count == 5461
