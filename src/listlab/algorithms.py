@@ -206,6 +206,11 @@ def _kernel(kind: AlgorithmKind, policy: VfcPolicy) -> Kernel:
     return _KERNELS[policy if kind is AlgorithmKind.VFC else kind]
 
 
+def _label(kind: AlgorithmKind, policy: VfcPolicy) -> str:
+    """The configuration's name in every output; see :class:`RunReport`."""
+    return f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
+
+
 def _access_costs(model: CostModel, m: int) -> list[int]:
     """The charge at each list index, one lookup a step; ``access_cost`` states the model."""
     return [access_cost(model, p) for p in range(1, m + 1)]
@@ -251,5 +256,4 @@ def run_algorithm(
     else:
         total = serve(order, neg, sequence, 0, len(sequence), costs, trace if keep_trace else None)[1]
 
-    label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
-    return RunReport(label, total, trace, ListState(order, dict(zip(order, counters()))))
+    return RunReport(_label(kind, policy), total, trace, ListState(order, dict(zip(order, counters()))))

@@ -104,6 +104,8 @@ def _parse_strip(spec: str) -> frozenset[int]:
 def _parse_distribution(spec: str):
     name, _, arg = spec.partition(":")
     if name == "uniform":
+        if arg:
+            raise ValueError(f"--generate {spec!r}: uniform takes no argument, got {arg!r}")
         return Uniform()
     if name not in ("zipf", "runs"):
         raise ValueError(f"unknown distribution {spec!r} (use uniform, zipf[:EXP], runs[:MEAN])")

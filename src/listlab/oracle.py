@@ -32,7 +32,16 @@ share. MTF, TRANS and FC are online, so that state holds for every extension.
 A VFC step reads a window of later requests, clipped at the sequence's end,
 so only steps whose unclipped window lies in the prefix hold for every
 extension; the chain commits those, and each instance serves the rest over
-its own end. The references stay per instance and from scratch.
+its own end. Both references are online as well, so each prefix also keeps
+the FC reference's (symbol, counter) entries and total and OPT's ``reach``,
+and each extension moves them one request forward with the same step that
+``naive_fc_step_costs`` and ``opt_free_exchange_cost`` take per request.
+Only that state is shared between instances. A slip in the chain's
+bookkeeping would feed both sides of every check, so the per-instance
+functions stay the chain's oracle: the tests compare the two on every
+instance at small bounds, and the walk recomputes both from scratch on the
+last instance of each length, after every other instance of that length
+has resumed from the chain.
 """
 
 import itertools
@@ -41,15 +50,18 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .algorithms import AlgorithmKind, Kernel, VfcPolicy, _access_costs, _kernel, run_algorithm
+from .algorithms import AlgorithmKind, Kernel, VfcPolicy, _access_costs, _kernel, _label
+from .algorithms import run_algorithm  # noqa: F401  benchmark/tracing.py wraps it here as verify's rerun layer
 from .listcore import CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
 
 MAX_INSTANCE_LIST = 5
 MAX_INSTANCE_SEQ = 10
-MAX_ENUM_LIST = 4
-MAX_ENUM_SEQ = 8
+MAX_ENUM_LIST = 5
+MAX_ENUM_SEQ = 9
 # counterexamples kept per check; later ones are dropped
 FAILURE_LIMIT = 5
+# the free exchanges from every order of one list, built by _exchanges
+_Table = Mapping[Symbol, tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 class InstanceTooLarge(ListLabError):
@@ -86,22 +98,9 @@ class SmallInstance:
 
 def naive_fc_step_costs(instance: SmallInstance) -> list[int]:
     """Per-request costs of frequency count, evaluated by the direct rule."""
-    full = instance.model is CostModel.FULL
-    entries: list[list[int]] = [[s, 0] for s in instance.order]
-    costs: list[int] = []
-    for index, request in enumerate(instance.sequence):
-        k = next((i for i, e in enumerate(entries) if e[0] == request), None)
-        if k is None:
-            raise SymbolNotInList(request, index)
-        costs.append(k + 1 if full else k)
-        entries[k][1] += 1
-        f = entries[k][1]
-        for i in range(k):
-            # entries[i + 1] may be the accessed entry itself, counter updated
-            if f > entries[i][1] or (f == entries[i][1] and f > entries[i + 1][1]):
-                entries.insert(i, entries.pop(k))
-                break
-    return costs
+    head = _head_cost(instance.model)
+    entries = [(s, 0) for s in instance.order]
+    return [_fc_step(entries, request, index, head) for index, request in enumerate(instance.sequence)]
 
 
 def naive_fc_cost(instance: SmallInstance) -> int:
@@ -115,26 +114,53 @@ def opt_free_exchange_cost(instance: SmallInstance) -> int:
     One pass over the requests; ``reach`` maps each list order (by index)
     some strategy can hold after the requests so far to its least cost.
     """
-    head = 1 if instance.model is CostModel.FULL else 0
+    head = _head_cost(instance.model)
     table = _exchanges(instance.order)
     reach = {0: 0}
-    for k, request in enumerate(instance.sequence):
-        rows = table.get(request)
-        if rows is None:
-            raise SymbolNotInList(request, k)
-        after: dict[int, int] = {}
-        for at, cost in reach.items():
-            i, targets = rows[at]
-            cost += i + head
-            for to in targets:
-                if to not in after or cost < after[to]:
-                    after[to] = cost
-        reach = after
+    for index, request in enumerate(instance.sequence):
+        reach = _opt_step(reach, table, request, index, head)
     return min(reach.values())
 
 
+def _head_cost(model: CostModel) -> int:
+    """What both references charge at the front; they share no cost helper with the engines."""
+    return 1 if model is CostModel.FULL else 0
+
+
+def _fc_step(entries: list[tuple[Symbol, int]], request: Symbol, index: int, head: int) -> int:
+    """Serve ``request``, the one at ``index``, on the (symbol, counter)
+    ``entries`` in place by the direct rule; return its cost."""
+    k = next((i for i, e in enumerate(entries) if e[0] == request), None)
+    if k is None:
+        raise SymbolNotInList(request, index)
+    f = entries[k][1] + 1
+    entries[k] = (request, f)
+    for i in range(k):
+        # entries[i + 1] may be the accessed entry itself, counter updated
+        if f > entries[i][1] or (f == entries[i][1] and f > entries[i + 1][1]):
+            entries.insert(i, entries.pop(k))
+            break
+    return k + head
+
+
+def _opt_step(reach: dict[int, int], table: _Table, request: Symbol, index: int, head: int) -> dict[int, int]:
+    """``reach`` after serving ``request``, the one at ``index``, then making
+    each free exchange that ``table`` lists for it."""
+    rows = table.get(request)
+    if rows is None:
+        raise SymbolNotInList(request, index)
+    after: dict[int, int] = {}
+    for at, cost in reach.items():
+        i, targets = rows[at]
+        cost += i + head
+        for to in targets:
+            if to not in after or cost < after[to]:
+                after[to] = cost
+    return after
+
+
 @lru_cache(maxsize=32)  # a verify run reads one list order
-def _exchanges(order: tuple[Symbol, ...]) -> Mapping[Symbol, tuple[tuple[int, tuple[int, ...]], ...]]:
+def _exchanges(order: tuple[Symbol, ...]) -> _Table:
     """Per symbol, a row per permutation of ``order`` (by index, ``order``
     first): the symbol's index there and the permutations its free exchanges leave."""
     orders = list(itertools.permutations(order))
@@ -225,15 +251,18 @@ def verify_engines(
     in ``FULL_MODEL_CHECKS`` run only under the full model. Each check keeps
     its first ``FAILURE_LIMIT`` counterexamples.
 
-    The engines' states come from one walk over the instances' shared
-    prefixes (see the module docstring); no engine is rerun per instance.
+    The engines' states and both references come from one walk over the
+    instances' shared prefixes (see the module docstring): no engine is
+    rerun and no reference recomputed per instance, except that the walk
+    recomputes both references on the last instance of each length and
+    raises ``RuntimeError`` if the chain disagrees.
     """
     model = CostModel(model)
     failures: dict[str, list[str]] = {name: [] for name in CHECKS}
     total = 0
     for instance, runs in _prefix_runs(max_list_size, max_seq_len, model):
         total += 1
-        for name, detail in _failures(instance, runs):
+        for name, detail in _failures(instance, runs, runs.reference, runs.opt):
             if len(failures[name]) < FAILURE_LIMIT:
                 failures[name].append(f"order={instance.order} seq={instance.sequence}: {detail}")
     skipped = () if model is CostModel.FULL else FULL_MODEL_CHECKS
@@ -256,14 +285,6 @@ class _Run:
     unsorted: str | None = None  # the first step after which the counters increase
     batches: tuple[tuple[int, str], ...] = ()  # (cursor after, detail) per batch that left another head
     swallowed: bool = False  # a batch consumed a request for another symbol
-
-    @classmethod
-    def start(cls, kind: AlgorithmKind, policy: VfcPolicy, instance: SmallInstance) -> "_Run":
-        """A run over no requests gives the label and validated starting state."""
-        report = run_algorithm(kind, instance.to_state(), (), instance.model, policy, keep_trace=False)
-        order, freq = report.final_state.order, report.final_state.freq
-        neg = [-freq[s] for s in order]
-        return cls(report.label, _kernel(kind, policy), kind is AlgorithmKind.VFC, order, neg)
 
     def served(self, sequence: RequestSequence, costs: list[int], committed: bool) -> "_Run":
         """The run after ``sequence``, its kernel driven one step a call, so
@@ -293,30 +314,65 @@ class _Run:
         return run
 
 
-def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallInstance, list[_Run]]]:
-    """Yield each instance of ``enumerate_instances`` with the runs of ``RUNS`` after serving it;
-    ``chain[k]`` holds the runs committed after the first k requests of the previous instance."""
+class _Prefix(list):
+    """What serving a prefix leaves: the runs of ``RUNS`` (the list itself),
+    the FC reference's (symbol, counter) entries and total, and OPT's ``reach``."""
+
+    __slots__ = ("entries", "reference", "reach")
+
+    def __init__(self, runs: list[_Run], entries: list[tuple[Symbol, int]], reference: int, reach: dict[int, int]):
+        super().__init__(runs)
+        self.entries, self.reference, self.reach = entries, reference, reach
+
+    @property
+    def opt(self) -> int:
+        return min(self.reach.values())
+
+    def extended(self, sequence: RequestSequence, costs: list[int], table: _Table, head: int) -> "_Prefix":
+        """What serving ``sequence``, one request longer than this prefix, leaves, each run committed."""
+        index = len(sequence) - 1
+        request = sequence[index]
+        entries = self.entries[:]
+        reference = self.reference + _fc_step(entries, request, index, head)
+        runs = [run.served(sequence, costs, True) for run in self]
+        return _Prefix(runs, entries, reference, _opt_step(self.reach, table, request, index, head))
+
+
+def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallInstance, _Prefix]]:
+    """Yield each instance of ``enumerate_instances`` with what serving it leaves;
+    ``chain[k]`` holds what the first k requests of the previous instance left."""
     costs = _access_costs(model, m)
-    chain: list[list[_Run]] = []
+    head = _head_cost(model)
+    chain: list[_Prefix] = []
     previous: tuple[Symbol, ...] = ()
     for instance in enumerate_instances(m, n_max, model):
         sequence = instance.sequence
-        if not chain:  # every instance starts from the same list
-            chain.append([_Run.start(kind, policy, instance) for kind, policy in RUNS])
+        if not chain:  # every instance starts from the same list, all counters zero
+            table = _exchanges(instance.order)
+            runs = [_Run(_label(kind, policy), _kernel(kind, policy), kind is AlgorithmKind.VFC,
+                         list(instance.order), [0] * m) for kind, policy in RUNS]
+            chain.append(_Prefix(runs, [(s, 0) for s in instance.order], 0, {0: 0}))
         pairs = list(zip(previous, sequence))
         shared = next((k for k, (a, b) in enumerate(pairs) if a != b), len(pairs))
         del chain[shared + 1 :]
         for end in range(shared + 1, len(sequence) + 1):
-            chain.append([run.served(sequence[:end], costs, True) for run in chain[-1]])
-        yield instance, [run.served(sequence, costs, False) for run in chain[-1]]
+            chain.append(chain[-1].extended(sequence[:end], costs, table, head))
+        last = chain[-1]
+        if sequence == (m,) * len(sequence):  # the last instance of its length: see the module docstring
+            chained = (last.reference, last.opt)
+            expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
+            if chained != expected:
+                raise RuntimeError(f"{instance}: the prefix chain gives (reference, opt) {chained}, "
+                                   f"a pass from scratch {expected}")
+        runs = [run.served(sequence, costs, False) for run in last]
+        yield instance, _Prefix(runs, last.entries, last.reference, last.reach)
         previous = sequence
 
 
-def _failures(instance: SmallInstance, runs: list[_Run]) -> Iterator[tuple[str, str]]:
-    """Yield (check, detail) for every check ``instance`` fails, given the runs after serving it."""
+def _failures(instance: SmallInstance, runs: list[_Run], reference: int, opt: int) -> Iterator[tuple[str, str]]:
+    """Yield (check, detail) for every check ``instance`` fails, given the runs after
+    serving it, the FC reference's total and OPT."""
     n = len(instance.sequence)
-    reference = naive_fc_cost(instance)
-    opt = opt_free_exchange_cost(instance)
     mtf, trans, fc, literal, strict = runs
 
     if fc.total != reference:

@@ -27,9 +27,9 @@ class TestVerify:
         assert all(line.endswith("(15 instances)") for line in passes)
 
     def test_bounds_beyond_enumeration_are_a_config_error(self):
-        code, _, err = run_cli(["verify", "--max-list-size", "5"])
+        code, _, err = run_cli(["verify", "--max-list-size", "6"])
         assert code == 1
-        assert "list size 5" in err
+        assert "list size 6" in err
 
 
 def test_trace_prints_batched_step():
@@ -117,7 +117,7 @@ class TestGenerate:
             assert code == 1
             assert "exponent must be finite" in err
 
-    @pytest.mark.parametrize("spec,value", [("zipf:abc", "abc"), ("runs:8x", "8x")])
+    @pytest.mark.parametrize("spec,value", [("zipf:abc", "abc"), ("runs:8x", "8x"), ("uniform:abc", "abc")])
     def test_unparsable_argument_names_the_option_and_value(self, spec, value):
         code, _, err = run_cli(["run", "--generate", spec, "--length", "20"])
         assert code == 1

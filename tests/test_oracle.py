@@ -114,7 +114,7 @@ class TestBounds:
         with pytest.raises(ListLabError):
             SmallInstance((1, 1, 2), (2, 1))
 
-    @pytest.mark.parametrize("m,n", [(5, 2), (2, 9), (0, 2), (2, -1)])
+    @pytest.mark.parametrize("m,n", [(6, 2), (2, 10), (0, 2), (2, -1)])
     def test_enumeration_bounds(self, m, n):
         with pytest.raises(BoundsExceeded):
             enumerate_instances(m, n)
@@ -177,25 +177,26 @@ def _free_head(real):
 
 
 # (check, name, change, first counterexample): each change breaks what its
-# check guards. A bare name is one the verifier calls, and change maps its
-# result; a name in ``listlab.algorithms`` is an engine helper that every
-# engine path calls, and change(real) replaces it.
+# check guards. A bare name is a reference value the checks read, an
+# argument of ``listlab.oracle._failures``, and change maps it; a name in
+# ``listlab.algorithms`` is an engine helper that every engine path calls,
+# and change(real) replaces it.
 PERTURBATIONS = [
     (
         "fc-matches-reference",
-        "naive_fc_cost",
+        "reference",
         lambda total: total + 1,
         "order=(1, 2, 3) seq=(): engine 0 != reference 1",
     ),
     (
         "opt-dominates-engines",
-        "opt_free_exchange_cost",
+        "opt",
         lambda opt: opt + 1,
         "order=(1, 2, 3) seq=(): mtf total 0 < opt 1",
     ),
     (
         "mtf-within-twice-opt",
-        "opt_free_exchange_cost",
+        "opt",
         lambda opt: opt // 3,
         "order=(1, 2, 3) seq=(1,): mtf 1 > 2*opt 0",
     ),
@@ -249,8 +250,14 @@ class TestVerification:
             owner = getattr(listlab, module)
             monkeypatch.setattr(owner, attr, change(getattr(owner, attr)))
         else:
-            real = getattr(listlab.oracle, name)
-            monkeypatch.setattr(listlab.oracle, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+            real = listlab.oracle._failures
+
+            def failures(instance, runs, reference, opt):
+                values = {"reference": reference, "opt": opt}
+                values[name] = change(values[name])
+                return real(instance, runs, **values)
+
+            monkeypatch.setattr(listlab.oracle, "_failures", failures)
         lines = verify_engines(3, 5).summary_lines()
         at = lines.index(f"FAIL {check} (364 instances)")
         assert lines[at + 1] == f"  counterexample: {counterexample}"
@@ -291,6 +298,26 @@ def test_prefix_walk_ends_where_each_engine_run_ends(model):
             )
             assert walked == expected, instance
     assert count == 5461
+
+
+@pytest.mark.parametrize("model", list(CostModel))
+@pytest.mark.parametrize("m,n,count", [(4, 6, 5461), (5, 5, 3906)])
+def test_prefix_walk_carries_both_references(model, m, n, count):
+    """The walk's references feed both sides of the checks, so a slip in the
+    chain's bookkeeping shows only against the per-instance references."""
+    walked = 0
+    for instance, runs in listlab.oracle._prefix_runs(m, n, model):
+        walked += 1
+        expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
+        assert (runs.reference, runs.opt) == expected, instance
+    assert walked == count
+
+
+def test_prefix_walk_refuses_a_chain_that_disagrees_with_the_references(monkeypatch):
+    real = listlab.oracle.opt_free_exchange_cost
+    monkeypatch.setattr(listlab.oracle, "opt_free_exchange_cost", lambda instance: real(instance) + 1)
+    with pytest.raises(RuntimeError, match=r"sequence=\(\)"):
+        verify_engines(2, 3)
 
 
 class TestLiteralBatchUndercut:
