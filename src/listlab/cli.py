@@ -89,7 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_algos(spec: str) -> list[AlgorithmKind]:
     names = [token.strip() for token in spec.split(",") if token.strip()]
     if not names:
-        raise ValueError("at least one algorithm must be selected")
+        raise ValueError("--algos: at least one algorithm must be selected")
+    valid = [kind.value for kind in AlgorithmKind]
+    for k, name in enumerate(names):
+        if name not in valid:
+            raise ValueError(f"--algos: unknown algorithm {name!r} (use {', '.join(valid)})")
+        if name in names[:k]:  # it would run twice under one label
+            raise ValueError(f"--algos: {name!r} is given twice")
     return [AlgorithmKind(name) for name in names]
 
 
@@ -167,9 +173,7 @@ def cmd_run(args) -> int:
         state = derive_list(sequence, list_order)
         costs: dict[str, int] = {}
         for kind in algorithms:
-            report = run_algorithm(
-                kind, state, sequence, model, policy, keep_trace=args.trace
-            )
+            report = run_algorithm(kind, state, sequence, model, policy, keep_trace=args.trace)
             costs[report.label] = report.total_cost
             if args.trace:
                 print(f"# trace file={name} algo={report.label}")
@@ -184,11 +188,8 @@ def cmd_run(args) -> int:
         for row in rows:
             for algo, total in row.costs.items():
                 if total < row.n:
-                    print(
-                        f"internal error: {algo} on {row.file} charged {total} "
-                        f"for {row.n} requests (below the full-model lower bound)",
-                        file=sys.stderr,
-                    )
+                    print(f"internal error: {algo} on {row.file} charged {total} "
+                          f"for {row.n} requests (below the full-model lower bound)", file=sys.stderr)
                     return EXIT_INTERNAL
 
     print(format_table(rows), end="")

@@ -25,26 +25,28 @@ B - 1 repeats at the head, so dominance holds for them unconditionally.
 The dominance check therefore covers MTF, TRANS, FC and strict VFC on every
 instance, and literal VFC only on runs whose batches swallowed nothing.
 
-The verifier reruns no engine per instance. It drives the kernels of
-``run_algorithm`` one step a call over each prefix, keeps each engine's state
-per prefix, and resumes the next instance from the longest prefix the two
-share. MTF, TRANS and FC are online, so that state holds for every extension.
-A VFC step reads a window of later requests, clipped at the sequence's end,
-so only steps whose unclipped window lies in the prefix hold for every
-extension; the chain commits those, and each instance serves the rest over
-its own end. Both references are online as well, so each prefix also keeps
-the FC reference's (symbol, counter) entries and total and OPT's ``reach``,
-and each extension moves them one request forward with the same step that
-``naive_fc_step_costs`` and ``opt_free_exchange_cost`` take per request.
-Only that state is shared between instances. A slip in the chain's
+The verifier reruns no engine per instance. The instances come in
+lexicographic order, so the one before each instance is its parent (the
+instance one request shorter) or extends it. The verifier keeps what serving
+each prefix of the current instance left and extends the parent's state by
+one request, driving the kernels of ``run_algorithm`` one step a call. MTF,
+TRANS and FC are online, so that state holds for every extension. A VFC step
+reads a window of later requests, clipped at the sequence's end, so only
+steps whose unclipped window lies in the prefix hold for every extension; the
+chain commits those, and each instance serves the rest over its own end. Both
+references are online as well, so each prefix also keeps the FC reference's
+(symbol, counter) entries and total and OPT's ``reach``, moved one request
+forward by the step that ``naive_fc_step_costs`` and
+``opt_free_exchange_cost`` take per request. A slip in the chain's
 bookkeeping would feed both sides of every check, so the per-instance
 functions stay the chain's oracle: the tests compare the two on every
 instance at small bounds, and the walk recomputes both from scratch on the
-last instance of each length, after every other instance of that length
-has resumed from the chain.
+last instance of each length, after every other instance of that length.
 """
 
+import heapq
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -173,20 +175,17 @@ def _exchanges(order: tuple[Symbol, ...]) -> _Table:
     return MappingProxyType({s: tuple(rows) for s, rows in table.items()})
 
 
-def enumerate_instances(
-    m: int,
-    n_max: int,
-    model: CostModel = CostModel.FULL,
-) -> Iterator[SmallInstance]:
+def enumerate_instances(m: int, n_max: int, model: CostModel = CostModel.FULL) -> Iterator[SmallInstance]:
     """Every sequence over the alphabet {1..m} up to length ``n_max``, each
-    paired with the identity-ordered zero-counter list."""
+    paired with the identity-ordered zero-counter list, in lexicographic
+    order, each after its proper prefixes: (), (1,), (1, 1), ..., (m,) * n_max."""
     if not 1 <= m <= MAX_ENUM_LIST:
         raise BoundsExceeded(f"list size {m} not in 1..{MAX_ENUM_LIST}")
     if not 0 <= n_max <= MAX_ENUM_SEQ:
         raise BoundsExceeded(f"sequence bound {n_max} not in 0..{MAX_ENUM_SEQ}")
     alphabet = tuple(range(1, m + 1))
-    lengths = range(n_max + 1)
-    return (SmallInstance(alphabet, seq, model) for n in lengths for seq in itertools.product(alphabet, repeat=n))
+    streams = (itertools.product(alphabet, repeat=n) for n in range(n_max + 1))
+    return (SmallInstance(alphabet, seq, model) for seq in heapq.merge(*streams))
 
 
 CHECKS = (
@@ -249,24 +248,28 @@ def verify_engines(
     counters along the list must be non-increasing after every step; an
     uncut batched step must leave the batched symbol at the head. The checks
     in ``FULL_MODEL_CHECKS`` run only under the full model. Each check keeps
-    its first ``FAILURE_LIMIT`` counterexamples.
+    its ``FAILURE_LIMIT`` shortest counterexamples, those of one length in
+    the walk's order and those of one instance in ``_failures`` order.
 
     The engines' states and both references come from one walk over the
-    instances' shared prefixes (see the module docstring): no engine is
+    instances' prefixes (see the module docstring): no engine is
     rerun and no reference recomputed per instance, except that the walk
     recomputes both references on the last instance of each length and
     raises ``RuntimeError`` if the chain disagrees.
     """
     model = CostModel(model)
-    failures: dict[str, list[str]] = {name: [] for name in CHECKS}
+    failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
     total = 0
     for instance, runs in _prefix_runs(max_list_size, max_seq_len, model):
         total += 1
+        n = len(instance.sequence)
         for name, detail in _failures(instance, runs, runs.reference, runs.opt):
-            if len(failures[name]) < FAILURE_LIMIT:
-                failures[name].append(f"order={instance.order} seq={instance.sequence}: {detail}")
+            kept = failures[name]
+            if len(kept) < FAILURE_LIMIT or n < kept[-1][0]:  # insort puts it after every kept line of length n
+                insort(kept, (n, f"order={instance.order} seq={instance.sequence}: {detail}"), key=lambda k: k[0])
+                del kept[FAILURE_LIMIT:]
     skipped = () if model is CostModel.FULL else FULL_MODEL_CHECKS
-    checks = [CheckResult(name, 0 if name in skipped else total, failures[name]) for name in CHECKS]
+    checks = [CheckResult(name, 0 if name in skipped else total, [f for _, f in failures[name]]) for name in CHECKS]
     return VerificationReport(checks, total)
 
 
@@ -344,19 +347,16 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
     costs = _access_costs(model, m)
     head = _head_cost(model)
     chain: list[_Prefix] = []
-    previous: tuple[Symbol, ...] = ()
     for instance in enumerate_instances(m, n_max, model):
         sequence = instance.sequence
-        if not chain:  # every instance starts from the same list, all counters zero
+        if chain:
+            del chain[len(sequence) :]
+            chain.append(chain[-1].extended(sequence, costs, table, head))
+        else:  # the empty instance comes first; every instance starts from its list, all counters zero
             table = _exchanges(instance.order)
             runs = [_Run(_label(kind, policy), _kernel(kind, policy), kind is AlgorithmKind.VFC,
                          list(instance.order), [0] * m) for kind, policy in RUNS]
             chain.append(_Prefix(runs, [(s, 0) for s in instance.order], 0, {0: 0}))
-        pairs = list(zip(previous, sequence))
-        shared = next((k for k, (a, b) in enumerate(pairs) if a != b), len(pairs))
-        del chain[shared + 1 :]
-        for end in range(shared + 1, len(sequence) + 1):
-            chain.append(chain[-1].extended(sequence[:end], costs, table, head))
         last = chain[-1]
         if sequence == (m,) * len(sequence):  # the last instance of its length: see the module docstring
             chained = (last.reference, last.opt)
@@ -366,7 +366,6 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
                                    f"a pass from scratch {expected}")
         runs = [run.served(sequence, costs, False) for run in last]
         yield instance, _Prefix(runs, last.entries, last.reference, last.reach)
-        previous = sequence
 
 
 def _failures(instance: SmallInstance, runs: list[_Run], reference: int, opt: int) -> Iterator[tuple[str, str]]:

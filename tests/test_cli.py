@@ -124,6 +124,31 @@ class TestGenerate:
         assert "--generate" in err and repr(value) in err
 
 
+class TestAlgos:
+    def test_unknown_name_is_a_config_error_that_lists_the_valid_names(self):
+        code, out, err = run_cli(["run", "--demo", "--algos", "mtf,FC"])
+        assert (code, out) == (1, "")
+        assert "--algos" in err and "'FC'" in err
+        assert all(kind.value in err for kind in AlgorithmKind)
+
+    @pytest.mark.parametrize("spec", ["fc,fc", "fc, mtf ,fc", "vfc,vfc"])
+    def test_repeated_name_is_a_config_error(self, spec):
+        # a repeat would run twice, print its trace block twice and share one column
+        code, out, err = run_cli(["run", "--demo", "--algos", spec, "--trace"])
+        assert (code, out) == (1, "")
+        assert "--algos" in err and repr(spec.split(",")[-1].strip()) in err
+
+    def test_empty_selection_is_a_config_error(self):
+        code, out, err = run_cli(["run", "--demo", "--algos", " , "])
+        assert (code, out) == (1, "")
+        assert "--algos" in err
+
+    def test_names_are_trimmed_and_empty_tokens_skipped(self):
+        code, out, _ = run_cli(["run", "--demo", "--algos", " fc,,mtf "])
+        assert code == 0
+        assert out.splitlines()[0].split()[-4:] == ["fc", "cost", "mtf", "cost"]
+
+
 # (directory, basename) pairs; "demo" collides with the --demo label, and
 # drawing one pair twice gives the same path twice
 FILES = st.tuples(st.sampled_from(["d1", "d2"]), st.sampled_from(["x", "y", DEMO_NAME]))

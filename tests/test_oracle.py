@@ -150,6 +150,12 @@ class TestEnumeration:
         assert len(seqs) == len(set(seqs)) == 1 + 2 + 4 + 8
         assert all(set(s) <= {1, 2} for s in seqs)
 
+    def test_lexicographic_order_puts_each_sequence_after_its_prefixes(self):
+        seqs = [inst.sequence for inst in enumerate_instances(2, 2)]
+        assert seqs == [(), (1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
+        longer = [inst.sequence for inst in enumerate_instances(3, 4)]
+        assert longer == sorted(longer)
+
 
 def _promote_counter_only(real):
     def promote(order, neg, j, f):
@@ -262,6 +268,28 @@ class TestVerification:
         at = lines.index(f"FAIL {check} (364 instances)")
         assert lines[at + 1] == f"  counterexample: {counterexample}"
 
+    def test_every_counterexample_line_keeps_its_order(self, monkeypatch):
+        """The shortest counterexamples first, those of one length in the
+        walk's order and those of one instance in the order of the checks."""
+        monkeypatch.setattr(listlab.algorithms, "_promote", _promote_counter_only(listlab.algorithms._promote))
+        assert _fail_block(verify_engines(3, 5), "fc-matches-reference") == [
+            "order=(1, 2, 3) seq=(2, 1): engine 3 != reference 4",
+            "order=(1, 2, 3) seq=(2, 2): engine 4 != reference 3",
+            "order=(1, 2, 3) seq=(3, 1): engine 4 != reference 5",
+            "order=(1, 2, 3) seq=(3, 2): engine 5 != reference 6",
+            "order=(1, 2, 3) seq=(3, 3): engine 6 != reference 4",
+        ]
+        monkeypatch.undo()
+        real = listlab.oracle._failures
+        monkeypatch.setattr(listlab.oracle, "_failures", lambda inst, runs, ref, opt: real(inst, runs, ref, opt + 1))
+        assert _fail_block(verify_engines(3, 5), "opt-dominates-engines") == [
+            "order=(1, 2, 3) seq=(): mtf total 0 < opt 1",
+            "order=(1, 2, 3) seq=(): trans total 0 < opt 1",
+            "order=(1, 2, 3) seq=(): fc total 0 < opt 1",
+            "order=(1, 2, 3) seq=(): vfc[strict] total 0 < opt 1",
+            "order=(1, 2, 3) seq=(): vfc[literal] total 0 < opt 1",
+        ]
+
     def test_detects_perturbed_cost_constant(self, monkeypatch):
         real = listlab.algorithms.access_cost
 
@@ -276,12 +304,18 @@ class TestVerification:
         assert any("order=" in f and "seq=" in f for c in failing for f in c.failures)
 
 
+def _fail_block(report, check):
+    """The counterexamples ``check`` kept, checking that it failed."""
+    result = next(c for c in report.checks if c.name == check)
+    assert not result.passed
+    return result.failures
+
+
 @pytest.mark.parametrize("model", list(CostModel))
 def test_prefix_walk_ends_where_each_engine_run_ends(model):
-    """The verifier resumes every instance from the state the previous one
-    left at their shared prefix, VFC from its steps whose whole window lies
-    inside that prefix; each configuration must end where a run over the
-    whole instance ends."""
+    """The verifier extends every instance's parent by one request, VFC from
+    its steps whose whole window lies inside the parent; each configuration
+    must end where a run over the whole instance ends."""
     count = 0
     for instance, runs in listlab.oracle._prefix_runs(4, 6, model):
         count += 1
@@ -311,6 +345,21 @@ def test_prefix_walk_carries_both_references(model, m, n, count):
         expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
         assert (runs.reference, runs.opt) == expected, instance
     assert walked == count
+
+
+def test_prefix_walk_extends_each_instance_once(monkeypatch):
+    """Every non-empty instance extends its parent once, and no prefix is
+    extended again."""
+    real = listlab.oracle._Prefix.extended
+    calls = []
+
+    def extended(self, sequence, *args):
+        calls.append(sequence)
+        return real(self, sequence, *args)
+
+    monkeypatch.setattr(listlab.oracle._Prefix, "extended", extended)
+    assert verify_engines(4, 6).passed
+    assert len(calls) == len(set(calls)) == 5460
 
 
 def test_prefix_walk_refuses_a_chain_that_disagrees_with_the_references(monkeypatch):
