@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import listlab.algorithms
 from listlab import (
     AlgorithmKind,
     CostModel,
@@ -177,6 +180,18 @@ class TestVfcStep:
         assert strict.requests_consumed == 1
         literal = first_step(AlgorithmKind.VFC, s, seq[cursor:], FULL, LITERAL)
         assert literal.requests_consumed == 3
+
+    @pytest.mark.parametrize("policy", [LITERAL, STRICT])
+    def test_batch_up_to_the_predecessors_counter_stays_put(self, policy):
+        """A batch clipped at the sequence's end lifts the counter to exactly
+        its predecessor's: the tie rule keeps the element in place, so the
+        kernel writes the counter and never calls the promotion search."""
+        s = state([1, 2, 3], (3, 2, 0))
+        with mock.patch.object(listlab.algorithms, "_promote", wraps=listlab.algorithms._promote) as promote:
+            step = first_step(AlgorithmKind.VFC, s, (3, 3), FULL, policy)
+        assert (step.cost_charged, step.requests_consumed) == (4, 2)
+        assert (step.list_after, step.freq_after) == ((1, 2, 3), (3, 2, 2))
+        assert not promote.called
 
 
 class TestRunAlgorithm:
@@ -381,6 +396,36 @@ def test_vfc_steps_match_reference(case, policy, model):
     report = run_algorithm(AlgorithmKind.VFC, ListState(list(order), dict(zip(order, freq))), seq, model, policy)
     steps = [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps]
     assert steps == naive_vfc_steps(order, freq, seq, model, policy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counted_instance(max_n=16),
+    st.sampled_from([(AlgorithmKind.FC, LITERAL), (AlgorithmKind.VFC, LITERAL), (AlgorithmKind.VFC, STRICT)]),
+    st.sampled_from([FULL, PARTIAL]),
+)
+def test_promotion_search_runs_only_on_steps_that_move(case, configuration, model):
+    """FC and VFC call ``_promote`` on exactly the steps whose list differs
+    from the list the step found. A call is matched to its step by the
+    counter sum it finds, which grows by each step's consumed requests."""
+    order, freq, seq = case
+    kind, policy = configuration
+    real = listlab.algorithms._promote
+    calls = []
+
+    def promote(order, neg, j, f):
+        calls.append(-sum(neg))
+        real(order, neg, j, f)
+
+    # patched in the body, since hypothesis rejects function-scoped fixtures such as monkeypatch
+    with mock.patch.object(listlab.algorithms, "_promote", promote):
+        report = run_algorithm(kind, state(order, freq), seq, model, policy, snapshots=True)
+    moved, before, served = [], order, sum(freq)
+    for step in report.steps:
+        if step.list_after != before:
+            moved.append(served)
+        before, served = step.list_after, served + step.requests_consumed
+    assert calls == moved
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,6 +180,16 @@ def _promote_one_too_many(real):
     return lambda order, neg, j, f: real(order, neg, j, f + 1)
 
 
+def _promote_ignoring_ties(real):
+    def promote(order, neg, j, f):  # the FC rule without its tie step: always to c
+        c = bisect_right(neg, -f, 0, j)
+        order.insert(c, order.pop(j))
+        del neg[j]
+        neg.insert(c, -f)
+
+    return promote
+
+
 def _free_head(real):
     return lambda model, position: 0 if position == 1 else real(model, position)
 
@@ -185,14 +197,21 @@ def _free_head(real):
 # (check, name, change, first counterexample): each change breaks what its
 # check guards. A bare name is a reference value the checks read, an
 # argument of ``listlab.oracle._failures``, and change maps it; a name in
-# ``listlab.algorithms`` is an engine helper that every engine path calls,
-# and change(real) replaces it.
+# ``listlab.algorithms`` is an engine helper, and change(real) replaces it:
+# every engine run prices its positions with ``access_cost``, and every FC or
+# VFC step that moves an element calls ``_promote``.
 PERTURBATIONS = [
     (
         "fc-matches-reference",
         "reference",
         lambda total: total + 1,
         "order=(1, 2, 3) seq=(): engine 0 != reference 1",
+    ),
+    (
+        "fc-matches-reference",
+        "algorithms._promote",
+        _promote_ignoring_ties,
+        "order=(1, 2, 3) seq=(1, 3, 1): engine 5 != reference 6",
     ),
     (
         "opt-dominates-engines",
@@ -210,7 +229,7 @@ PERTURBATIONS = [
         "fc-vfc-conservation",
         "algorithms._promote",
         _promote_one_too_many,
-        "order=(1, 2, 3) seq=(1,): fc counter sum != 1",
+        "order=(1, 2, 3) seq=(2,): fc counter sum != 1",
     ),
     (
         "full-model-lower-bound",
@@ -233,6 +252,13 @@ PERTURBATIONS = [
 ]
 
 
+# a row's id is its check, and the change's name too if an earlier row has that check
+PERTURBATION_IDS = [
+    f"{check}-{change.__name__.strip('_')}" if check in [p[0] for p in PERTURBATIONS[:i]] else check
+    for i, (check, _, change, _) in enumerate(PERTURBATIONS)
+]
+
+
 class TestVerification:
     def test_default_bounds_pass(self):
         report = verify_engines(3, 6)
@@ -249,7 +275,7 @@ class TestVerification:
         assert len(lines) == len(report.checks)
         assert all(line.startswith("PASS") for line in lines)
 
-    @pytest.mark.parametrize("check,name,change,counterexample", PERTURBATIONS, ids=[p[0] for p in PERTURBATIONS])
+    @pytest.mark.parametrize("check,name,change,counterexample", PERTURBATIONS, ids=PERTURBATION_IDS)
     def test_perturbation_fails_its_check(self, monkeypatch, check, name, change, counterexample):
         module, _, attr = name.rpartition(".")
         if module:
