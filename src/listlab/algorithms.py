@@ -36,6 +36,23 @@ the new counter. Most steps are of this kind (97% of FC's and of strict
 VFC's on the surrogate corpus), so only a step that moves the element calls
 the search.
 
+Once VFC has served a step for s, a request for s right after it cannot
+fire a batch, under either policy, so the kernel serves such repeats as FC
+steps at the index it already holds, with no scan and no window test:
+
+- after an uncut batch, s's counter is f_head + 1, so s is at the head,
+  and the head never opens a window (a cut batch ends the sequence);
+- after a step with no window (g = f_head), s also moves to the head;
+- after a rejected literal window, s is not in the window, so the next
+  request is not s;
+- after a rejected strict window, the window's end ``cursor + f_head - g``
+  stays where it is as s climbs by one a step, so the window still holds
+  the request that is not s, unless s reaches the head.
+
+A repeat step takes the same inline test as any other: it writes the
+counter when s stays put and calls ``_promote`` only when s moves, and only
+then does the kernel find s's index again with a scan.
+
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger is its only branch on the policy. A kernel,
 ``serve(order, neg, sequence, cursor, stop, costs, trace) -> (cursor,
@@ -46,7 +63,8 @@ starts before ``stop``, windows clipped at the sequence's end, charging
 request and appending a ``StepRecord`` per step to a ``trace`` that is not
 None; it returns the cursor after its last step and the cost charged.
 ``run_algorithm`` calls it once per run, or once per step to take snapshots;
-the verifier drives the same kernels a step at a time.
+the verifier drives the same kernels a step at a time, so it never serves a
+repeat in VFC's repeat loop.
 """
 
 from bisect import bisect_right
@@ -195,16 +213,23 @@ def _vfc(strict: bool) -> Kernel:
                             pass
                     elif sequence[end - 1] == request and sequence[cursor + 1 : end].count(request) == end - cursor - 1:
                         consumed = end - cursor
-                f = consumed - neg[j]
-                if j and neg[j - 1] > -f:
-                    _promote(order, neg, j, f)
-                else:
-                    neg[j] = -f
-                cost = costs[j] + consumed - 1
-                total += cost
-                if trace is not None:
-                    trace.append(StepRecord(request, j + 1, cost, consumed))
-                cursor += consumed
+                while True:  # this step, then each repeat of its request as an FC step (module docstring)
+                    f = consumed - neg[j]
+                    cost = costs[j] + consumed - 1
+                    total += cost
+                    if trace is not None:
+                        trace.append(StepRecord(request, j + 1, cost, consumed))
+                    cursor += consumed
+                    if j and neg[j - 1] > -f:
+                        _promote(order, neg, j, f)
+                        j = -1  # found again only if the run goes on
+                    else:
+                        neg[j] = -f
+                    if cursor >= stop or sequence[cursor] != request:
+                        break
+                    if j < 0:
+                        j = order.index(request)
+                    consumed = 1
         except ValueError:
             raise SymbolNotInList(request, cursor) from None
         return cursor, total

@@ -194,6 +194,41 @@ class TestVfcStep:
         assert not promote.called
 
 
+BATCH_THEN_REPEAT = [(2, 2, 4, 3), (2, 1, 1, 1), (1, 2, 2, 1)]
+NO_WINDOW_THEN_REPEATS = [(2, 2, 2, 1), (2, 1, 1, 1), (2, 1, 1, 1)]
+
+
+class TestVfcRepeats:
+    """Requests that repeat the symbol just served, on list [1, 2] under FULL.
+    A whole run serves them in the kernel's repeat loop and a run with
+    snapshots one call a step; both give these ``(request, position, cost,
+    consumed)`` steps."""
+
+    @pytest.mark.parametrize(
+        "policy,freq,sequence,steps",
+        [
+            # the batch lifts 2 to the head; the fourth 2 is served there
+            (LITERAL, (2, 0), (2, 2, 2, 2, 1), BATCH_THEN_REPEAT),
+            (STRICT, (2, 0), (2, 2, 2, 2, 1), BATCH_THEN_REPEAT),
+            # g equals the head's counter: no window, and 2 moves to the head
+            (LITERAL, (1, 1), (2, 2, 2), NO_WINDOW_THEN_REPEATS),
+            (STRICT, (1, 1), (2, 2, 2), NO_WINDOW_THEN_REPEATS),
+            # strict rejects the window (2, 2, 1) and each repeat's shorter one; literal takes it all
+            (STRICT, (4, 0), (2, 2, 2, 1), [(2, 2, 2, 1), (2, 2, 2, 1), (2, 2, 2, 1), (1, 1, 1, 1)]),
+            (LITERAL, (4, 0), (2, 2, 2, 1), [(2, 2, 5, 4)]),
+        ],
+        ids=["batch-literal", "batch-strict", "no-window-literal", "no-window-strict", "rejected-strict",
+             "rejected-literal"],
+    )
+    def test_whole_run_serves_repeats_as_steps_do(self, policy, freq, sequence, steps):
+        whole = run_algorithm(AlgorithmKind.VFC, state([1, 2], freq), sequence, FULL, policy)
+        stepped = run_algorithm(AlgorithmKind.VFC, state([1, 2], freq), sequence, FULL, policy, snapshots=True)
+        for report in (whole, stepped):
+            assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps] == steps
+            assert report.total_cost == sum(step[2] for step in steps)
+        assert whole.final_state == stepped.final_state
+
+
 class TestRunAlgorithm:
     def test_vfc_worked_instance(self):
         for policy in (LITERAL, STRICT):
@@ -354,6 +389,20 @@ def counted_instance(draw, max_m=5, max_n=12):
     return order, freq, tuple(seq)
 
 
+@st.composite
+def run_heavy_instance(draw):
+    """Like ``counted_instance``, but the requests are up to six runs of one
+    symbol, each 1 to 6 long, so VFC often serves repeats after a rejected
+    window."""
+    order, freq, _ = draw(counted_instance(max_n=0))
+    runs = draw(st.lists(st.tuples(st.sampled_from(order), st.integers(min_value=1, max_value=6)), max_size=6))
+    return order, freq, tuple(s for s, length in runs for _ in range(length))
+
+
+def counted_or_run_heavy(max_n=12):
+    return st.one_of(counted_instance(max_n=max_n), run_heavy_instance())
+
+
 def naive_vfc_steps(order, freq, sequence, model, policy):
     """VFC's ``(request, position_before, cost_charged, requests_consumed)``
     per step, by the rule in the ``algorithms`` docstring applied directly
@@ -390,7 +439,7 @@ def naive_vfc_steps(order, freq, sequence, model, policy):
 
 
 @settings(max_examples=500, deadline=None)
-@given(counted_instance(), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
+@given(counted_or_run_heavy(), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
 def test_vfc_steps_match_reference(case, policy, model):
     order, freq, seq = case
     report = run_algorithm(AlgorithmKind.VFC, ListState(list(order), dict(zip(order, freq))), seq, model, policy)
@@ -400,14 +449,15 @@ def test_vfc_steps_match_reference(case, policy, model):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    counted_instance(max_n=16),
+    counted_or_run_heavy(max_n=16),
     st.sampled_from([(AlgorithmKind.FC, LITERAL), (AlgorithmKind.VFC, LITERAL), (AlgorithmKind.VFC, STRICT)]),
     st.sampled_from([FULL, PARTIAL]),
 )
 def test_promotion_search_runs_only_on_steps_that_move(case, configuration, model):
     """FC and VFC call ``_promote`` on exactly the steps whose list differs
-    from the list the step found. A call is matched to its step by the
-    counter sum it finds, which grows by each step's consumed requests."""
+    from the list the step found, whether the run is served whole or a step
+    at a time. A call is matched to its step by the counter sum it finds,
+    which grows by each step's consumed requests."""
     order, freq, seq = case
     kind, policy = configuration
     real = listlab.algorithms._promote
@@ -419,6 +469,8 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
 
     # patched in the body, since hypothesis rejects function-scoped fixtures such as monkeypatch
     with mock.patch.object(listlab.algorithms, "_promote", promote):
+        run_algorithm(kind, state(order, freq), seq, model, policy)
+        whole, calls = calls, []
         report = run_algorithm(kind, state(order, freq), seq, model, policy, snapshots=True)
     moved, before, served = [], order, sum(freq)
     for step in report.steps:
@@ -426,6 +478,7 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
             moved.append(served)
         before, served = step.list_after, served + step.requests_consumed
     assert calls == moved
+    assert whole == moved
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,7 +505,7 @@ def test_run_leaves_its_input_and_ends_at_its_last_snapshot(case, configuration,
 
 
 @settings(max_examples=300, deadline=None)
-@given(counted_instance(max_n=24), st.sampled_from(CONFIGURATIONS), st.sampled_from([FULL, PARTIAL]))
+@given(counted_or_run_heavy(max_n=24), st.sampled_from(CONFIGURATIONS), st.sampled_from([FULL, PARTIAL]))
 def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
     """A run without a trace, a traced run and a run with snapshots (served a
     step at a time) end with the same total and state, and the traced steps
