@@ -37,8 +37,7 @@ VFC's on the surrogate corpus), so only a step that moves the element calls
 the search.
 
 Once VFC has served a step for s, a request for s right after it cannot
-fire a batch, under either policy, so the kernel serves such repeats as FC
-steps at the index it already holds, with no scan and no window test:
+fire a batch, under either policy:
 
 - after an uncut batch, s's counter is f_head + 1, so s is at the head,
   and the head never opens a window (a cut batch ends the sequence);
@@ -49,9 +48,9 @@ steps at the index it already holds, with no scan and no window test:
   stays where it is as s climbs by one a step, so the window still holds
   the request that is not s, unless s reaches the head.
 
-A repeat step takes the same inline test as any other: it writes the
-counter when s stays put and calls ``_promote`` only when s moves, and only
-then does the kernel find s's index again with a scan.
+So a call looks up and tests for a window only a request other than the
+one it served last, and serves a repeat as an FC step at the index j the
+last step left, which ``_promote`` returns when that step moved s.
 
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger is its only branch on the policy. A kernel,
@@ -63,8 +62,8 @@ starts before ``stop``, windows clipped at the sequence's end, charging
 request and appending a ``StepRecord`` per step to a ``trace`` that is not
 None; it returns the cursor after its last step and the cost charged.
 ``run_algorithm`` calls it once per run, or once per step to take snapshots;
-the verifier drives the same kernels a step at a time, so it never serves a
-repeat in VFC's repeat loop.
+the verifier drives the same kernels a step at a time. A one-step call never
+takes VFC's repeat branch; the verifier's whole runs of ``(m,) * k`` do.
 """
 
 from bisect import bisect_right
@@ -127,9 +126,9 @@ class RunReport:
     final_state: ListState
 
 
-def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
-    """Give ``order[j]`` the counter ``f`` and move it where the FC rule
-    puts it; ``neg`` holds the negated counters aligned with ``order``.
+def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:
+    """Give ``order[j]`` the counter ``f``, move it where the FC rule puts
+    it and return its new index; ``neg`` holds the counters negated.
 
     The element must move: ``j > 0`` and ``neg[j - 1] > -f``, that is, the
     counter before it is below ``f``. The kernels write the counter of an
@@ -140,6 +139,7 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> None:
     order.insert(c, order.pop(j))
     del neg[j]
     neg.insert(c, -f)
+    return c
 
 
 def _mtf(order, neg, sequence, cursor, stop, costs, trace):
@@ -196,40 +196,36 @@ def _vfc(strict: bool) -> Kernel:
     def serve(order, neg, sequence, cursor, stop, costs, trace):
         n = len(sequence)
         total = 0
+        previous = None  # the request this call served last; a repeat keeps its index j (module docstring)
         try:
             while cursor < stop:
                 request = sequence[cursor]
-                j = order.index(request)
                 consumed = 1
-                # a window opens when the head's counter is above the request's; a homogeneous
-                # one starts and ends with a repeat, so strict tests both before slicing it
-                if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
-                    end = min(cursor - neg[0] + neg[j] + 1, n)
-                    if not strict:
-                        try:  # bytes, list and tuple all expose bounded index()
-                            sequence.index(request, cursor + 1, end)  # type: ignore[attr-defined]
+                if request != previous:
+                    previous = request
+                    j = order.index(request)
+                    # a window opens when the head's counter is above the request's; a homogeneous
+                    # one starts and ends with a repeat, so strict tests both before slicing it
+                    if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
+                        end = min(cursor - neg[0] + neg[j] + 1, n)
+                        if not strict:
+                            try:  # bytes, list and tuple all expose bounded index()
+                                sequence.index(request, cursor + 1, end)  # type: ignore[attr-defined]
+                                consumed = end - cursor
+                            except ValueError:
+                                pass
+                        elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
                             consumed = end - cursor
-                        except ValueError:
-                            pass
-                    elif sequence[end - 1] == request and sequence[cursor + 1 : end].count(request) == end - cursor - 1:
-                        consumed = end - cursor
-                while True:  # this step, then each repeat of its request as an FC step (module docstring)
-                    f = consumed - neg[j]
-                    cost = costs[j] + consumed - 1
-                    total += cost
-                    if trace is not None:
-                        trace.append(StepRecord(request, j + 1, cost, consumed))
-                    cursor += consumed
-                    if j and neg[j - 1] > -f:
-                        _promote(order, neg, j, f)
-                        j = -1  # found again only if the run goes on
-                    else:
-                        neg[j] = -f
-                    if cursor >= stop or sequence[cursor] != request:
-                        break
-                    if j < 0:
-                        j = order.index(request)
-                    consumed = 1
+                f = consumed - neg[j]
+                cost = costs[j] + consumed - 1
+                total += cost
+                if trace is not None:
+                    trace.append(StepRecord(request, j + 1, cost, consumed))
+                cursor += consumed
+                if j and neg[j - 1] > -f:
+                    j = _promote(order, neg, j, f)
+                else:
+                    neg[j] = -f
         except ValueError:
             raise SymbolNotInList(request, cursor) from None
         return cursor, total
@@ -237,16 +233,13 @@ def _vfc(strict: bool) -> Kernel:
     return serve
 
 
-_KERNELS: dict[object, Kernel] = {AlgorithmKind.MTF: _mtf, AlgorithmKind.TRANS: _trans, AlgorithmKind.FC: _fc}
-_KERNELS |= {p: _vfc(p is VfcPolicy.STRICT_HOMOGENEOUS) for p in VfcPolicy}  # VFC's keyed by policy
-
-
-def _kernel(kind: AlgorithmKind, policy: VfcPolicy) -> Kernel:
-    return _KERNELS[policy if kind is AlgorithmKind.VFC else kind]
+_KERNELS: dict[str, Kernel] = {
+    "mtf": _mtf, "trans": _trans, "fc": _fc, "vfc[literal]": _vfc(False), "vfc[strict]": _vfc(True),
+}
 
 
 def _label(kind: AlgorithmKind, policy: VfcPolicy) -> str:
-    """The configuration's name in every output; see :class:`RunReport`."""
+    """The configuration's name in every output and its key in ``_KERNELS``; see :class:`RunReport`."""
     return f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
 
 
@@ -283,7 +276,8 @@ def run_algorithm(
     # FC and VFC keep their counters in neg alone; MTF and TRANS keep the input's
     freq = state.freq
     counters = (lambda: tuple([-c for c in neg])) if counting else (lambda: tuple([freq[s] for s in order]))
-    serve = _kernel(kind, policy)
+    label = _label(kind, policy)
+    serve = _KERNELS[label]
     costs = _access_costs(model, len(order))
     trace: list[StepRecord] = []
     if snapshots:  # one step a call, to read the state after each
@@ -295,4 +289,4 @@ def run_algorithm(
     else:
         total = serve(order, neg, sequence, 0, len(sequence), costs, trace if keep_trace else None)[1]
 
-    return RunReport(_label(kind, policy), total, trace, ListState(order, dict(zip(order, counters()))))
+    return RunReport(label, total, trace, ListState(order, dict(zip(order, counters()))))

@@ -25,23 +25,25 @@ B - 1 repeats at the head, so dominance holds for them unconditionally.
 The dominance check therefore covers MTF, TRANS, FC and strict VFC on every
 instance, and literal VFC only on runs whose batches swallowed nothing.
 
-The verifier reruns no engine per instance. The instances come in
-lexicographic order, so the one before each instance is its parent (the
-instance one request shorter) or extends it. The verifier keeps what serving
-each prefix of the current instance left and extends the parent's state by
-one request, driving the kernels of ``run_algorithm`` one step a call. MTF,
-TRANS and FC are online, so that state holds for every extension. A VFC step
-reads a window of later requests, clipped at the sequence's end, so only
-steps whose unclipped window lies in the prefix hold for every extension; the
-chain commits those, and each instance serves the rest over its own end. Both
+The instances come in lexicographic order, so the one before each instance
+is its parent (the instance one request shorter) or extends it. Rather than
+rerun the engines per instance, the verifier keeps what serving each prefix
+of the current instance left and extends the parent's state by one request,
+driving the kernels of ``run_algorithm`` one step a call. MTF, TRANS and FC
+are online, so that state holds for every extension. A VFC step reads a
+window of later requests, clipped at the sequence's end, so only steps whose
+unclipped window lies in the prefix hold for every extension; the chain
+commits those, and each instance serves the rest over its own end. Both
 references are online as well, so each prefix also keeps the FC reference's
 (symbol, counter) entries and total and OPT's ``reach``, moved one request
 forward by the step that ``naive_fc_step_costs`` and
 ``opt_free_exchange_cost`` take per request. A slip in the chain's
 bookkeeping would feed both sides of every check, so the per-instance
 functions stay the chain's oracle: the tests compare the two on every
-instance at small bounds, and the walk recomputes both from scratch on the
-last instance of each length, after every other instance of that length.
+instance at small bounds, and on the last instance of each length,
+``(m,) * k``, the walk recomputes both from scratch and runs each
+configuration whole, reaching VFC's repeat branch, which one-step calls
+never take, at every VFC step after the first.
 """
 
 import heapq
@@ -52,8 +54,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .algorithms import AlgorithmKind, Kernel, VfcPolicy, _access_costs, _kernel, _label
-from .algorithms import run_algorithm  # noqa: F401  benchmark/tracing.py wraps it here as verify's rerun layer
+from .algorithms import _KERNELS, AlgorithmKind, Kernel, VfcPolicy, _access_costs, _label, run_algorithm
 from .listcore import CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
 
 MAX_INSTANCE_LIST = 5
@@ -252,10 +253,9 @@ def verify_engines(
     the walk's order and those of one instance in ``_failures`` order.
 
     The engines' states and both references come from one walk over the
-    instances' prefixes (see the module docstring): no engine is
-    rerun and no reference recomputed per instance, except that the walk
-    recomputes both references on the last instance of each length and
-    raises ``RuntimeError`` if the chain disagrees.
+    instances' prefixes (see the module docstring); the walk reruns both only
+    on the last instance of each length, and raises ``RuntimeError`` if the
+    chain disagrees with a rerun.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
@@ -354,17 +354,23 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
             chain.append(chain[-1].extended(sequence, costs, table, head))
         else:  # the empty instance comes first; every instance starts from its list, all counters zero
             table = _exchanges(instance.order)
-            runs = [_Run(_label(kind, policy), _kernel(kind, policy), kind is AlgorithmKind.VFC,
+            runs = [_Run(label := _label(kind, policy), _KERNELS[label], kind is AlgorithmKind.VFC,
                          list(instance.order), [0] * m) for kind, policy in RUNS]
             chain.append(_Prefix(runs, [(s, 0) for s in instance.order], 0, {0: 0}))
         last = chain[-1]
+        runs = [run.served(sequence, costs, False) for run in last]
         if sequence == (m,) * len(sequence):  # the last instance of its length: see the module docstring
             chained = (last.reference, last.opt)
             expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
             if chained != expected:
                 raise RuntimeError(f"{instance}: the prefix chain gives (reference, opt) {chained}, "
                                    f"a pass from scratch {expected}")
-        runs = [run.served(sequence, costs, False) for run in last]
+            for (kind, policy), run in zip(RUNS, runs):
+                whole = run_algorithm(kind, instance.to_state(), sequence, model, policy, keep_trace=False)
+                walked = ListState(run.order, dict(zip(run.order, [-c for c in run.neg])))
+                if (run.total, walked) != (whole.total_cost, whole.final_state):
+                    raise RuntimeError(f"{instance}: {run.label} walks to total {run.total}, {walked}; "
+                                       f"a whole run to total {whole.total_cost}, {whole.final_state}")
         yield instance, _Prefix(runs, last.entries, last.reference, last.reach)
 
 

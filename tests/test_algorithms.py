@@ -199,10 +199,10 @@ NO_WINDOW_THEN_REPEATS = [(2, 2, 2, 1), (2, 1, 1, 1), (2, 1, 1, 1)]
 
 
 class TestVfcRepeats:
-    """Requests that repeat the symbol just served, on list [1, 2] under FULL.
-    A whole run serves them in the kernel's repeat loop and a run with
-    snapshots one call a step; both give these ``(request, position, cost,
-    consumed)`` steps."""
+    """Requests that repeat the symbol just served, on the list 1, 2, ...
+    with the given counters under FULL. A whole run serves them at the index
+    the last step left and a run with snapshots one call a step; both give
+    these ``(request, position, cost, consumed)`` steps."""
 
     @pytest.mark.parametrize(
         "policy,freq,sequence,steps",
@@ -216,13 +216,17 @@ class TestVfcRepeats:
             # strict rejects the window (2, 2, 1) and each repeat's shorter one; literal takes it all
             (STRICT, (4, 0), (2, 2, 2, 1), [(2, 2, 2, 1), (2, 2, 2, 1), (2, 2, 2, 1), (1, 1, 1, 1)]),
             (LITERAL, (4, 0), (2, 2, 2, 1), [(2, 2, 5, 4)]),
+            # strict rejects (3, 3, 1); the second 3 moves to index 1, short of the head, and the third is served there
+            (STRICT, (5, 1, 0), (3, 3, 3, 1), [(3, 3, 3, 1), (3, 3, 3, 1), (3, 2, 2, 1), (1, 1, 1, 1)]),
+            (LITERAL, (5, 1, 0), (3, 3, 3, 1), [(3, 3, 6, 4)]),
         ],
         ids=["batch-literal", "batch-strict", "no-window-literal", "no-window-strict", "rejected-strict",
-             "rejected-literal"],
+             "rejected-literal", "promoted-short-of-head-strict", "promoted-short-of-head-literal"],
     )
     def test_whole_run_serves_repeats_as_steps_do(self, policy, freq, sequence, steps):
-        whole = run_algorithm(AlgorithmKind.VFC, state([1, 2], freq), sequence, FULL, policy)
-        stepped = run_algorithm(AlgorithmKind.VFC, state([1, 2], freq), sequence, FULL, policy, snapshots=True)
+        order = range(1, len(freq) + 1)
+        whole = run_algorithm(AlgorithmKind.VFC, state(order, freq), sequence, FULL, policy)
+        stepped = run_algorithm(AlgorithmKind.VFC, state(order, freq), sequence, FULL, policy, snapshots=True)
         for report in (whole, stepped):
             assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps] == steps
             assert report.total_cost == sum(step[2] for step in steps)
@@ -465,7 +469,10 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
 
     def promote(order, neg, j, f):
         calls.append(-sum(neg))
-        real(order, neg, j, f)
+        symbol = order[j]
+        c = real(order, neg, j, f)
+        assert order[c] == symbol
+        return c
 
     # patched in the body, since hypothesis rejects function-scoped fixtures such as monkeypatch
     with mock.patch.object(listlab.algorithms, "_promote", promote):

@@ -162,6 +162,7 @@ class TestEnumeration:
 def _promote_counter_only(real):
     def promote(order, neg, j, f):
         neg[j] = -f
+        return j
 
     return promote
 
@@ -170,8 +171,8 @@ def _promote_batch_in_place(real):
     def promote(order, neg, j, f):
         if f + neg[j] > 1:  # a batch: the counter grows by more than one
             neg[j] = -f
-        else:
-            real(order, neg, j, f)
+            return j
+        return real(order, neg, j, f)
 
     return promote
 
@@ -186,6 +187,7 @@ def _promote_ignoring_ties(real):
         order.insert(c, order.pop(j))
         del neg[j]
         neg.insert(c, -f)
+        return c
 
     return promote
 
@@ -392,6 +394,21 @@ def test_prefix_walk_refuses_a_chain_that_disagrees_with_the_references(monkeypa
     real = listlab.oracle.opt_free_exchange_cost
     monkeypatch.setattr(listlab.oracle, "opt_free_exchange_cost", lambda instance: real(instance) + 1)
     with pytest.raises(RuntimeError, match=r"sequence=\(\)"):
+        verify_engines(2, 3)
+
+
+def test_prefix_walk_refuses_a_whole_run_that_disagrees_with_the_walk(monkeypatch):
+    """A ``_promote`` that hands back the index it was given leaves a whole
+    VFC run serving the repeat of (2, 2) where 2 was, not at the head; the
+    walk serves one step a call, so only the whole-run check sees it."""
+    real = listlab.algorithms._promote
+
+    def stale(order, neg, j, f):
+        real(order, neg, j, f)
+        return j
+
+    monkeypatch.setattr(listlab.algorithms, "_promote", stale)
+    with pytest.raises(RuntimeError, match=r"sequence=\(2, 2\)"):
         verify_engines(2, 3)
 
 
