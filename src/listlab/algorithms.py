@@ -67,7 +67,6 @@ takes VFC's repeat branch; the verifier's whole runs of ``(m,) * k`` do.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -79,6 +78,7 @@ from .listcore import (
     StepRecord,
     Symbol,
     SymbolNotInList,
+    _Record,
     access_cost,
 )
 
@@ -112,18 +112,17 @@ class VfcPolicy(Enum):
     STRICT_HOMOGENEOUS = "strict"
 
 
-@dataclass
-class RunReport:
+class RunReport(_Record):
     """Trace and total access cost of one engine run.
 
     ``label`` names the engine that ran: ``mtf``, ``trans``, ``fc``,
     ``vfc[literal]`` or ``vfc[strict]``; every output keys its totals by it.
     """
 
-    label: str
-    total_cost: int
-    steps: list[StepRecord]
-    final_state: ListState
+    _fields = ("label", "total_cost", "steps", "final_state")
+
+    def __init__(self, label: str, total_cost: int, steps: list[StepRecord], final_state: ListState) -> None:
+        self.label, self.total_cost, self.steps, self.final_state = label, total_cost, steps, final_state
 
 
 def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:

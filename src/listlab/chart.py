@@ -1,10 +1,12 @@
 """Grouped-bar comparison charts as self-contained SVG.
 
 No plotting library is involved: the document is assembled from strings, so
-identical rows always produce byte-identical output.
+identical rows always produce byte-identical output. ``_escape`` replaces
+``&``, ``<``, ``>`` and ``"`` in every label, which is all that text and
+double-quoted attributes need. ``xml.sax.saxutils.escape`` is not used: it
+leaves ``"`` alone, and importing it loads urllib, http, email and ssl, some
+25 ms of start-up.
 """
-
-from xml.sax.saxutils import escape
 
 from .listcore import ListLabError
 from .report import ComparisonRow, algo_labels
@@ -12,6 +14,10 @@ from .report import ComparisonRow, algo_labels
 PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#b279a2")
 TITLE = "Total access cost by input"
 WIDTH, HEIGHT = 900, 420
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 class EmptyReport(ListLabError):
@@ -51,7 +57,7 @@ def render_bar_chart(rows: list[ComparisonRow]) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{escape(TITLE)}</text>',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{_escape(TITLE)}</text>',
     ]
 
     # y grid, ticks and axis label
@@ -82,14 +88,14 @@ def render_bar_chart(rows: list[ComparisonRow]) -> str:
             x = group_x + group_w * 0.1 + a * bar_w
             y = y_of(row.costs[algo])
             parts.append(
-                f'<rect class="bar" data-file="{escape(row.file)}" data-algo="{escape(algo)}" '
+                f'<rect class="bar" data-file="{_escape(row.file)}" data-algo="{_escape(algo)}" '
                 f'x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{top + plot_h - y:.2f}" '
                 f'fill="{PALETTE[a % len(PALETTE)]}"/>'
             )
         label = row.file if len(row.file) <= 14 else row.file[:13] + "…"
         parts.append(
             f'<text x="{group_x + group_w / 2:.2f}" y="{top + plot_h + 18}" '
-            f'text-anchor="middle" font-size="11">{escape(label)}</text>'
+            f'text-anchor="middle" font-size="11">{_escape(label)}</text>'
         )
 
     # x axis line and legend
@@ -105,7 +111,7 @@ def render_bar_chart(rows: list[ComparisonRow]) -> str:
             f'fill="{PALETTE[a % len(PALETTE)]}"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 16}" y="{legend_y}" font-size="12">{escape(algo)}</text>'
+            f'<text x="{legend_x + 16}" y="{legend_y}" font-size="12">{_escape(algo)}</text>'
         )
         legend_x += 16 + 8 * len(algo) + 24
 

@@ -7,13 +7,12 @@ request, so the returned ``bytes`` object is itself a request sequence.
 """
 
 import math
+import os
 import random
-from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .listcore import ListLabError, ListState, RequestSequence, Symbol
+from .listcore import ListLabError, ListState, RequestSequence, Symbol, _Frozen, _Record
 
 DEFAULT_STRIP_BYTES = frozenset((0x20, 0x0D, 0x0A))
 
@@ -30,10 +29,11 @@ class EmptyAlphabet(ListLabError):
     pass
 
 
-@dataclass
-class CorpusText:
-    data: bytes
-    source_name: str = ""
+class CorpusText(_Record):
+    _fields = ("data", "source_name")
+
+    def __init__(self, data: bytes, source_name: str = "") -> None:
+        self.data, self.source_name = data, source_name
 
 
 class ListOrderPolicy(Enum):
@@ -44,9 +44,9 @@ class ListOrderPolicy(Enum):
     BYTE_VALUE = "byte-value"
 
 
-def load_file(path: str | Path) -> CorpusText:
-    path = Path(path)
-    return CorpusText(path.read_bytes(), path.name)
+def load_file(path: str | os.PathLike) -> CorpusText:
+    with open(path, "rb") as f:  # not pathlib, which imports urllib before Python 3.13
+        return CorpusText(f.read(), os.path.basename(path))
 
 
 def preprocess(
@@ -78,21 +78,21 @@ def derive_list(
     return ListState.from_order(distinct)
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(_Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class Zipf:
+class Zipf(_Frozen):
     """Rank-weighted sampling: the r-th alphabet symbol gets weight
     1 / (r + 1) ** exponent. ``exponent`` must be finite and positive."""
 
-    exponent: float = 1.0
+    _fields = ("exponent",)
+
+    def __init__(self, exponent: float = 1.0) -> None:
+        vars(self)["exponent"] = exponent
 
 
-@dataclass(frozen=True)
-class RunLengths:
+class RunLengths(_Frozen):
     """Bursty workload: each run repeats one symbol for a geometrically
     distributed length with mean ``mean_run``. Exercises the
     batched-lookahead branch of VFC.
@@ -105,7 +105,10 @@ class RunLengths:
     is still drawn equally often overall. ``mean_run`` must be finite and at
     least 1."""
 
-    mean_run: float = 4.0
+    _fields = ("mean_run",)
+
+    def __init__(self, mean_run: float = 4.0) -> None:
+        vars(self)["mean_run"] = mean_run
 
 
 Distribution = Uniform | Zipf | RunLengths

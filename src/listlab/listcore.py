@@ -16,7 +16,6 @@ integers for synthetic ones. A request sequence is any int sequence, so a
 ``bytes`` object can be fed to the engines directly.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -52,8 +51,36 @@ class CostModel(Enum):
     PARTIAL = "partial"
 
 
-@dataclass
-class ListState:
+class _Record:
+    """Field-wise ``==`` and ``Name(field=value, ...)`` repr over ``_fields``, and no
+    hash, as ``@dataclass`` makes them; importing ``dataclasses`` costs ~20 ms of start-up."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class _Frozen(_Record):
+    """A hashable record whose ``__init__`` sets its fields in ``vars(self)``."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ListState(_Record):
     """An ordered list of distinct symbols plus per-symbol access counters.
 
     ``order`` holds the symbols from front (position 1) to back (position m).
@@ -62,14 +89,14 @@ class ListState:
     of whatever it started as.
     """
 
-    order: list[Symbol]
-    freq: dict[Symbol, int]
+    _fields = ("order", "freq")
 
-    def __post_init__(self) -> None:
-        if len(set(self.order)) != len(self.order):
+    def __init__(self, order: list[Symbol], freq: dict[Symbol, int]) -> None:
+        self.order, self.freq = order, freq
+        if len(set(order)) != len(order):
             raise InvalidListState("list symbols must be pairwise distinct")
-        for s in self.order:
-            if self.freq.get(s, -1) < 0:
+        for s in order:
+            if freq.get(s, -1) < 0:
                 raise InvalidListState(f"symbol {s!r} needs a non-negative counter entry")
 
     @classmethod
@@ -83,19 +110,19 @@ class ListState:
         return len(self.order)
 
 
-@dataclass(slots=True)
-class StepRecord:
+class StepRecord(_Record):
     """One engine step: the request served, its pre-access position, the cost
     charged, and how many requests the step consumed (batched lookahead steps
     consume more than one). The snapshot of the order and the counters, front
     to back, after the step is given only when the run is asked for one."""
 
-    request: Symbol
-    position_before: int
-    cost_charged: int
-    requests_consumed: int = 1
-    list_after: tuple[Symbol, ...] | None = None
-    freq_after: tuple[int, ...] | None = None
+    __slots__ = _fields = ("request", "position_before", "cost_charged", "requests_consumed", "list_after",
+                           "freq_after")
+
+    def __init__(self, request: Symbol, position_before: int, cost_charged: int, requests_consumed: int = 1,
+                 list_after: tuple[Symbol, ...] | None = None, freq_after: tuple[int, ...] | None = None) -> None:
+        self.request, self.position_before, self.cost_charged = request, position_before, cost_charged
+        self.requests_consumed, self.list_after, self.freq_after = requests_consumed, list_after, freq_after
 
 
 def access_cost(model: CostModel | str, position: int) -> int:

@@ -49,13 +49,13 @@ never take, at every VFC step after the first.
 import heapq
 import itertools
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .algorithms import _KERNELS, AlgorithmKind, Kernel, VfcPolicy, _access_costs, _label, run_algorithm
-from .listcore import CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList
+from .listcore import (CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList,
+                       _Frozen, _Record)
 
 MAX_INSTANCE_LIST = 5
 MAX_INSTANCE_SEQ = 10
@@ -75,19 +75,14 @@ class BoundsExceeded(ListLabError):
     """Exhaustive enumeration was asked for more than it can afford."""
 
 
-@dataclass(frozen=True)
-class SmallInstance:
+class SmallInstance(_Frozen):
     """A tiny benchmark case: initial list order (all counters zero), the
     request sequence, and the cost model (a ``CostModel`` or its value)."""
 
-    order: tuple[Symbol, ...]
-    sequence: tuple[Symbol, ...]
-    model: CostModel = CostModel.FULL
+    _fields = ("order", "sequence", "model")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "sequence", tuple(self.sequence))
-        object.__setattr__(self, "model", CostModel(self.model))
+    def __init__(self, order: tuple[Symbol, ...], sequence: tuple[Symbol, ...], model: CostModel = CostModel.FULL):
+        vars(self).update(order=tuple(order), sequence=tuple(sequence), model=CostModel(model))
         if len(self.order) > MAX_INSTANCE_LIST:
             raise InstanceTooLarge(f"list size {len(self.order)} exceeds {MAX_INSTANCE_LIST}")
         if len(self.sequence) > MAX_INSTANCE_SEQ:
@@ -204,21 +199,22 @@ FULL_MODEL_CHECKS = ("mtf-within-twice-opt", "full-model-lower-bound")
 RUNS = (*((kind, VfcPolicy.LITERAL) for kind in AlgorithmKind), (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS))
 
 
-@dataclass
-class CheckResult:
-    name: str
-    instances: int
-    failures: list[str]
+class CheckResult(_Record):
+    _fields = ("name", "instances", "failures")
+
+    def __init__(self, name: str, instances: int, failures: list[str]) -> None:
+        self.name, self.instances, self.failures = name, instances, failures
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult]
-    instances: int
+class VerificationReport(_Record):
+    _fields = ("checks", "instances")
+
+    def __init__(self, checks: list[CheckResult], instances: int) -> None:
+        self.checks, self.instances = checks, instances
 
     @property
     def passed(self) -> bool:
@@ -273,21 +269,25 @@ def verify_engines(
     return VerificationReport(checks, total)
 
 
-@dataclass(slots=True)
-class _Run:
+class _Run(_Record):
     """An engine configuration after the requests it consumed, and what the
-    step checks found; a prefix's run is shared, so serving copies it."""
+    step checks found; a prefix's run is shared, so serving copies it.
 
-    label: str
-    serve: Kernel
-    lookahead: bool
-    order: list[Symbol]
-    neg: list[int]  # negated counters, aligned with order
-    cursor: int = 0  # requests consumed
-    total: int = 0
-    unsorted: str | None = None  # the first step after which the counters increase
-    batches: tuple[tuple[int, str], ...] = ()  # (cursor after, detail) per batch that left another head
-    swallowed: bool = False  # a batch consumed a request for another symbol
+    ``neg`` holds the negated counters, aligned with ``order``; ``cursor`` the
+    requests consumed; ``unsorted`` the first step after which the counters
+    increase; ``batches`` a (cursor after, detail) pair per batch that left
+    another head; ``swallowed`` whether a batch consumed a request for
+    another symbol."""
+
+    __slots__ = _fields = ("label", "serve", "lookahead", "order", "neg", "cursor", "total", "unsorted", "batches",
+                           "swallowed")
+
+    def __init__(self, label: str, serve: Kernel, lookahead: bool, order: list[Symbol], neg: list[int], cursor: int = 0,
+                 total: int = 0, unsorted: str | None = None, batches: tuple[tuple[int, str], ...] = (),
+                 swallowed: bool = False) -> None:
+        self.label, self.serve, self.lookahead, self.order, self.neg = label, serve, lookahead, order, neg
+        self.cursor, self.total, self.unsorted = cursor, total, unsorted
+        self.batches, self.swallowed = batches, swallowed
 
     def served(self, sequence: RequestSequence, costs: list[int], committed: bool) -> "_Run":
         """The run after ``sequence``, its kernel driven one step a call, so

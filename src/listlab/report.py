@@ -12,23 +12,20 @@ model or an input's second total for one algo fails with its line number.
 import csv
 import io
 import re
-from dataclasses import dataclass
 
-from .listcore import CostModel
+from .listcore import CostModel, _Record
 
 CSV_HEADER = ("file", "n", "list_size", "algo", "cost_model", "total_cost")
 
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(_Record):
     """Totals for one input: every selected algorithm's cost on the same
     derived list and request sequence."""
 
-    file: str
-    n: int
-    list_size: int
-    cost_model: CostModel
-    costs: dict[str, int]
+    _fields = ("file", "n", "list_size", "cost_model", "costs")
+
+    def __init__(self, file: str, n: int, list_size: int, cost_model: CostModel, costs: dict[str, int]) -> None:
+        self.file, self.n, self.list_size, self.cost_model, self.costs = file, n, list_size, cost_model, costs
 
 
 def rows_to_csv(rows: list[ComparisonRow]) -> str:

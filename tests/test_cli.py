@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +28,13 @@ class TestVerify:
         passes = [line for line in out.splitlines() if line.startswith("PASS ")]
         assert len(passes) == 7
         assert all(line.endswith("(15 instances)") for line in passes)
+
+    def test_runs_as_python_m_listlab(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, "-m", "listlab", "verify", "--max-list-size", "2", "--max-seq-len", "2"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "all checks passed" in proc.stdout
 
     def test_bounds_beyond_enumeration_are_a_config_error(self):
         code, _, err = run_cli(["verify", "--max-list-size", "6"])

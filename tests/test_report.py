@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from listlab import (
@@ -150,6 +152,15 @@ class TestChart:
         svg = render_bar_chart(rows)
         assert "a<b>" not in svg
         assert "a&lt;b&gt;" in svg
+
+    @pytest.mark.parametrize("name", ['a"b', "a&b", "a<b", "a>b", '"&<>'])
+    def test_attributes_round_trip_any_label(self, name):
+        rows = [ComparisonRow(name, 5, 2, CostModel.FULL, {name: 7, "fc": 3})]
+        root = ET.fromstring(render_bar_chart(rows))
+        found = [(r.get("data-file"), r.get("data-algo")) for r in root.iter("{http://www.w3.org/2000/svg}rect")]
+        assert [bar for bar in found if bar != (None, None)] == [(name, name), (name, "fc")]
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels.count(name) == 2  # under its bar group and in the legend
 
     def test_bars_cover_every_row_and_skip_missing_totals(self):
         svg = render_bar_chart(mixed_rows())
