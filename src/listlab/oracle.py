@@ -27,26 +27,28 @@ instance, and literal VFC only on runs whose batches swallowed nothing.
 
 The instances come in lexicographic order, so the one before each instance
 is its parent (the instance one request shorter) or extends it. Rather than
-rerun the engines per instance, the verifier keeps what serving each prefix
-of the current instance left and extends the parent's state by one request,
+rerun the engines per instance, the walk keeps what serving each prefix of
+the current instance left and extends the parent's state by one request,
 driving the kernels of ``run_algorithm`` one step a call. MTF, TRANS and FC
-are online, so that state holds for every extension. A VFC step reads a
-window of later requests, clipped at the sequence's end, so only steps whose
-unclipped window lies in the prefix hold for every extension; the chain
-commits those, and each instance serves the rest over its own end. Both
-references are online as well, so each prefix also keeps the FC reference's
-(symbol, counter) entries and total and OPT's ``reach``, moved one request
-forward by the step that ``naive_fc_step_costs`` and
-``opt_free_exchange_cost`` take per request. A slip in the chain's
-bookkeeping would feed both sides of every check, so the per-instance
-functions stay the chain's oracle: the tests compare the two on every
-instance at small bounds, and on the last instance of each length,
-``(m,) * k``, the walk recomputes both from scratch and runs each
-configuration whole, reaching VFC's repeat branch, which one-step calls
-never take, at every VFC step after the first.
+are online, so that state is the prefix's own: they are not served again. A
+VFC step reads a window of later requests, clipped at the sequence's end, so
+the chain commits only steps whose unclipped window lies in the prefix, and
+each instance serves the rest over its own end. Both references are online
+too: each prefix keeps the FC reference's (symbol, counter) entries and
+total and OPT's ``reach``, moved one request forward by the steps of
+``naive_fc_step_costs`` and ``opt_free_exchange_cost``. Nothing extends a
+leaf, an instance of the bound's length, so it commits nothing, and its OPT
+is the least ``reach[at]`` plus the request's index in order ``at`` and the
+head's cost: every order may leave the requested element in place, so the
+last free exchanges cannot lower it. A slip in the chain would feed both
+sides of every check, so the per-instance functions stay its oracle: the
+tests compare the two on every instance at small bounds, and on each
+``(m,) * k``, the last instance of its length and a leaf at ``k = n_max``,
+the walk recomputes both from scratch and runs each configuration whole,
+reaching VFC's repeat branch, which one-step calls never take, at every VFC
+step after the first.
 """
 
-import heapq
 import itertools
 from bisect import insort
 from functools import lru_cache
@@ -180,8 +182,17 @@ def enumerate_instances(m: int, n_max: int, model: CostModel = CostModel.FULL) -
     if not 0 <= n_max <= MAX_ENUM_SEQ:
         raise BoundsExceeded(f"sequence bound {n_max} not in 0..{MAX_ENUM_SEQ}")
     alphabet = tuple(range(1, m + 1))
-    streams = (itertools.product(alphabet, repeat=n) for n in range(n_max + 1))
-    return (SmallInstance(alphabet, seq, model) for seq in heapq.merge(*streams))
+    return (SmallInstance(alphabet, seq, model) for seq in _preorder(alphabet, n_max))
+
+
+def _preorder(alphabet: tuple[Symbol, ...], n_max: int) -> Iterator[tuple[Symbol, ...]]:
+    """The sequences over ``alphabet`` up to length ``n_max``, depth first, in lexicographic order."""
+    stack = [()]
+    while stack:
+        seq = stack.pop()
+        yield seq
+        if len(seq) < n_max:
+            stack.extend([seq + (s,) for s in reversed(alphabet)])
 
 
 CHECKS = (
@@ -197,6 +208,12 @@ CHECKS = (
 FULL_MODEL_CHECKS = ("mtf-within-twice-opt", "full-model-lower-bound")
 # the engine configurations verify walks: mtf, trans, fc, vfc[literal], vfc[strict]
 RUNS = (*((kind, VfcPolicy.LITERAL) for kind in AlgorithmKind), (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS))
+# per configuration of RUNS: label, kernel, whether it reads a window (VFC), whether it keeps counters (FC, VFC)
+_CONFIGS = tuple((label, _KERNELS[label], label.startswith("vfc"), label not in ("mtf", "trans"))
+                 for label in (_label(kind, policy) for kind, policy in RUNS))
+_Config = tuple[str, Kernel, bool, bool]
+# a run after some requests: (order, neg, cursor, total, unsorted, batches, swallowed); see verify_engines
+_State = tuple[list[Symbol], list[int], int, int, str | None, tuple[tuple[int, str], ...], bool]
 
 
 class CheckResult(_Record):
@@ -249,17 +266,24 @@ def verify_engines(
     the walk's order and those of one instance in ``_failures`` order.
 
     The engines' states and both references come from one walk over the
-    instances' prefixes (see the module docstring); the walk reruns both only
-    on the last instance of each length, and raises ``RuntimeError`` if the
+    instances' prefixes (see the module docstring). A run's state is a tuple
+    ``(order, neg, cursor, total, unsorted, batches, swallowed)``: the list,
+    its negated counters, the requests consumed, the cost charged, the first
+    step after which the counters increase, a (cursor after, detail) pair per
+    batch that left another head, and whether a batch swallowed a request for
+    another symbol. Online runs are not served again once committed, and a
+    leaf's OPT skips its last free exchanges, which may leave the element in
+    place. The walk reruns both references, and each configuration whole, on
+    the last instance of each length, and raises ``RuntimeError`` if the
     chain disagrees with a rerun.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
     total = 0
-    for instance, runs in _prefix_runs(max_list_size, max_seq_len, model):
+    for instance, runs, reference, opt in _prefix_runs(max_list_size, max_seq_len, model):
         total += 1
         n = len(instance.sequence)
-        for name, detail in _failures(instance, runs, runs.reference, runs.opt):
+        for name, detail in _failures(instance, runs, reference, opt):
             kept = failures[name]
             if len(kept) < FAILURE_LIMIT or n < kept[-1][0]:  # insort puts it after every kept line of length n
                 insort(kept, (n, f"order={instance.order} seq={instance.sequence}: {detail}"), key=lambda k: k[0])
@@ -269,142 +293,118 @@ def verify_engines(
     return VerificationReport(checks, total)
 
 
-class _Run(_Record):
-    """An engine configuration after the requests it consumed, and what the
-    step checks found; a prefix's run is shared, so serving copies it.
-
-    ``neg`` holds the negated counters, aligned with ``order``; ``cursor`` the
-    requests consumed; ``unsorted`` the first step after which the counters
-    increase; ``batches`` a (cursor after, detail) pair per batch that left
-    another head; ``swallowed`` whether a batch consumed a request for
-    another symbol."""
-
-    __slots__ = _fields = ("label", "serve", "lookahead", "order", "neg", "cursor", "total", "unsorted", "batches",
-                           "swallowed")
-
-    def __init__(self, label: str, serve: Kernel, lookahead: bool, order: list[Symbol], neg: list[int], cursor: int = 0,
-                 total: int = 0, unsorted: str | None = None, batches: tuple[tuple[int, str], ...] = (),
-                 swallowed: bool = False) -> None:
-        self.label, self.serve, self.lookahead, self.order, self.neg = label, serve, lookahead, order, neg
-        self.cursor, self.total, self.unsorted = cursor, total, unsorted
-        self.batches, self.swallowed = batches, swallowed
-
-    def served(self, sequence: RequestSequence, costs: list[int], committed: bool) -> "_Run":
-        """The run after ``sequence``, its kernel driven one step a call, so
-        windows clip at the end; ``committed`` stops at the first window
-        reaching past the end, so every step taken holds for any extension."""
-        run, order, neg, end = self, self.order, self.neg, len(sequence)
-        while run.cursor < end:
-            cursor = run.cursor
-            request = sequence[cursor]
-            # the unclipped window ends at cursor + |g - f_head| + 1; a step
-            # with no window (head counter <= g) ends by cursor + 1 <= end
-            if committed and self.lookahead and cursor - neg[0] + neg[order.index(request)] + 1 > end:
-                break
-            if run is self:
-                run = _Run(self.label, self.serve, self.lookahead, order[:], neg[:], cursor, self.total,
-                           self.unsorted, self.batches, self.swallowed)
-                order, neg = run.order, run.neg
-            after, cost = self.serve(order, neg, sequence, cursor, cursor + 1, costs, None)
-            run.cursor = after
-            run.total += cost
-            if run.unsorted is None and neg != sorted(neg):
-                run.unsorted = f"{self.label} counters {tuple(-c for c in neg)} after serving {request}"
+def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list[int], committed: bool) -> _State:
+    """``run``, a state of ``config``, after ``sequence``, its kernel driven one
+    step a call, so windows clip at the end; ``committed`` stops at the first
+    window reaching past the end, so every step taken holds for any extension."""
+    order, neg, cursor, total, unsorted, batches, swallowed = run
+    end = len(sequence)
+    label, serve, lookahead, counting = config
+    order = order[:]  # the chain shares the run's lists
+    if counting:
+        neg = neg[:]
+    while cursor < end:
+        request = sequence[cursor]
+        # the unclipped window ends at cursor + |g - f_head| + 1; a step
+        # with no window (head counter <= g) ends by cursor + 1 <= end
+        if committed and lookahead and cursor - neg[0] + neg[order.index(request)] + 1 > end:
+            break
+        after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs, None)
+        total += cost
+        if counting:
+            if unsorted is None and neg != sorted(neg):
+                unsorted = f"{label} counters {tuple(-c for c in neg)} after serving {request}"
             if after - cursor > 1:
                 if order[0] != request:
-                    run.batches += ((after, f"{self.label} batch on {request} left head {order[0]}"),)
-                run.swallowed |= sequence[cursor:after].count(request) != after - cursor
-        return run
+                    batches += ((after, f"{label} batch on {request} left head {order[0]}"),)
+                swallowed |= sequence[cursor:after].count(request) != after - cursor
+        cursor = after
+    return order, neg, cursor, total, unsorted, batches, swallowed
 
 
-class _Prefix(list):
-    """What serving a prefix leaves: the runs of ``RUNS`` (the list itself),
+def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallInstance, list[_State], int, int]]:
+    """Yield each instance of ``enumerate_instances`` with the runs after
+    serving it, the FC reference's total and OPT. ``chain[k]`` holds what the
+    first k requests of the previous instance left: its runs, each committed,
     the FC reference's (symbol, counter) entries and total, and OPT's ``reach``."""
-
-    __slots__ = ("entries", "reference", "reach")
-
-    def __init__(self, runs: list[_Run], entries: list[tuple[Symbol, int]], reference: int, reach: dict[int, int]):
-        super().__init__(runs)
-        self.entries, self.reference, self.reach = entries, reference, reach
-
-    @property
-    def opt(self) -> int:
-        return min(self.reach.values())
-
-    def extended(self, sequence: RequestSequence, costs: list[int], table: _Table, head: int) -> "_Prefix":
-        """What serving ``sequence``, one request longer than this prefix, leaves, each run committed."""
-        index = len(sequence) - 1
-        request = sequence[index]
-        entries = self.entries[:]
-        reference = self.reference + _fc_step(entries, request, index, head)
-        runs = [run.served(sequence, costs, True) for run in self]
-        return _Prefix(runs, entries, reference, _opt_step(self.reach, table, request, index, head))
-
-
-def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallInstance, _Prefix]]:
-    """Yield each instance of ``enumerate_instances`` with what serving it leaves;
-    ``chain[k]`` holds what the first k requests of the previous instance left."""
     costs = _access_costs(model, m)
     head = _head_cost(model)
-    chain: list[_Prefix] = []
+    chain: list[tuple[list[_State], list[tuple[Symbol, int]], int, dict[int, int]]] = []
     for instance in enumerate_instances(m, n_max, model):
         sequence = instance.sequence
+        n = len(sequence)
         if chain:
-            del chain[len(sequence) :]
-            chain.append(chain[-1].extended(sequence, costs, table, head))
+            del chain[n:]
+            runs, entries, reference, reach = chain[-1]
+            request = sequence[-1]
+            entries = entries[:]
+            reference += _fc_step(entries, request, n - 1, head)
+            # a leaf commits nothing, as nothing extends it (see the module docstring)
+            runs = [_served(run, config, sequence, costs, n < n_max) for run, config in zip(runs, _CONFIGS)]
+            if n < n_max:
+                reach = _opt_step(reach, table, request, n - 1, head)
+                chain.append((runs, entries, reference, reach))
+                opt = min(reach.values())
+                # the online configurations' committed runs are already this instance's
+                runs = [_served(run, config, sequence, costs, False) if config[2] else run
+                        for run, config in zip(runs, _CONFIGS)]
+            else:
+                rows = table[request]
+                opt = min([cost + rows[at][0] for at, cost in reach.items()]) + head
         else:  # the empty instance comes first; every instance starts from its list, all counters zero
             table = _exchanges(instance.order)
-            runs = [_Run(label := _label(kind, policy), _KERNELS[label], kind is AlgorithmKind.VFC,
-                         list(instance.order), [0] * m) for kind, policy in RUNS]
-            chain.append(_Prefix(runs, [(s, 0) for s in instance.order], 0, {0: 0}))
-        last = chain[-1]
-        runs = [run.served(sequence, costs, False) for run in last]
-        if sequence == (m,) * len(sequence):  # the last instance of its length: see the module docstring
-            chained = (last.reference, last.opt)
+            runs = [(list(instance.order), [0] * m, 0, 0, None, (), False)] * len(RUNS)
+            reference = opt = 0
+            chain.append((runs, [(s, 0) for s in instance.order], 0, {0: 0}))
+        if sequence == (m,) * n:  # the last instance of its length: see the module docstring
+            chained = (reference, opt)
             expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
             if chained != expected:
                 raise RuntimeError(f"{instance}: the prefix chain gives (reference, opt) {chained}, "
                                    f"a pass from scratch {expected}")
-            for (kind, policy), run in zip(RUNS, runs):
+            for (kind, policy), (label, *_), (order, neg, _, total, *_) in zip(RUNS, _CONFIGS, runs):
                 whole = run_algorithm(kind, instance.to_state(), sequence, model, policy, keep_trace=False)
-                walked = ListState(run.order, dict(zip(run.order, [-c for c in run.neg])))
-                if (run.total, walked) != (whole.total_cost, whole.final_state):
-                    raise RuntimeError(f"{instance}: {run.label} walks to total {run.total}, {walked}; "
+                walked = ListState(order, dict(zip(order, [-c for c in neg])))
+                if (total, walked) != (whole.total_cost, whole.final_state):
+                    raise RuntimeError(f"{instance}: {label} walks to total {total}, {walked}; "
                                        f"a whole run to total {whole.total_cost}, {whole.final_state}")
-        yield instance, _Prefix(runs, last.entries, last.reference, last.reach)
+        yield instance, runs, reference, opt
 
 
-def _failures(instance: SmallInstance, runs: list[_Run], reference: int, opt: int) -> Iterator[tuple[str, str]]:
+def _failures(instance: SmallInstance, runs: list[_State], reference: int, opt: int) -> Iterator[tuple[str, str]]:
     """Yield (check, detail) for every check ``instance`` fails, given the runs after
     serving it, the FC reference's total and OPT."""
     n = len(instance.sequence)
-    mtf, trans, fc, literal, strict = runs
+    mtf, trans, fc, literal, strict = named = [(config[0], run[3]) for config, run in zip(_CONFIGS, runs)]
 
-    if fc.total != reference:
-        yield "fc-matches-reference", f"engine {fc.total} != reference {reference}"
+    if fc[1] != reference:
+        yield "fc-matches-reference", f"engine {fc[1]} != reference {reference}"
 
-    for run in (fc, literal, strict):
-        if sum(run.neg) != -n:
-            yield "fc-vfc-conservation", f"{run.label} counter sum != {n}"
-        if sorted(run.order) != sorted(instance.order):
-            yield "fc-vfc-conservation", f"{run.label} lost or invented symbols"
-        if run.unsorted is not None:
-            yield "frequencies-non-increasing", run.unsorted
+    for (label, _, _, counting), (order, neg, cursor, _, unsorted, batches, _) in zip(_CONFIGS, runs):
+        if not counting:
+            continue
+        if sum(neg) != -n:
+            yield "fc-vfc-conservation", f"{label} counter sum != {n}"
+        if sorted(order) != sorted(instance.order):
+            yield "fc-vfc-conservation", f"{label} lost or invented symbols"
+        if unsorted is not None:
+            yield "frequencies-non-increasing", unsorted
         # a cut-short batch always ends the run, so any batched step with
         # requests left behind it used its whole window
-        for after, detail in run.batches:
+        for after, detail in batches:
             if after < n:
                 yield "batch-promotes-to-head", detail
-        if run.cursor != n:
-            yield "fc-vfc-conservation", f"{run.label} consumed {run.cursor} of {n}"
+        if cursor != n:
+            yield "fc-vfc-conservation", f"{label} consumed {cursor} of {n}"
 
-    for run in (mtf, trans, fc, strict) if literal.swallowed else (mtf, trans, fc, strict, literal):
-        if run.total < opt:
-            yield "opt-dominates-engines", f"{run.label} total {run.total} < opt {opt}"
+    swallowed = runs[3][6]  # by literal VFC's batches
+    for label, total in (mtf, trans, fc, strict) if swallowed else (mtf, trans, fc, strict, literal):
+        if total < opt:
+            yield "opt-dominates-engines", f"{label} total {total} < opt {opt}"
 
     if instance.model is CostModel.FULL:
-        if mtf.total > 2 * opt:
-            yield "mtf-within-twice-opt", f"mtf {mtf.total} > 2*opt {2 * opt}"
-        for run in runs:
-            if run.total < n:
-                yield "full-model-lower-bound", f"{run.label} total {run.total} < n {n}"
+        if mtf[1] > 2 * opt:
+            yield "mtf-within-twice-opt", f"mtf {mtf[1]} > 2*opt {2 * opt}"
+        for label, total in named:
+            if total < n:
+                yield "full-model-lower-bound", f"{label} total {total} < n {n}"

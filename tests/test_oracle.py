@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,13 @@ class TestEnumeration:
         assert len(seqs) == len(set(seqs)) == 1 + 2 + 4 + 8
         assert all(set(s) <= {1, 2} for s in seqs)
 
+    @pytest.mark.parametrize("m,n", [(1, 9), (3, 5), (5, 3)])
+    def test_order_is_sorted_order(self, m, n):
+        """Python sorts a tuple before its extensions, so sorting pins the
+        walk's order without the enumeration's own generator."""
+        every = (s for k in range(n + 1) for s in product(range(1, m + 1), repeat=k))
+        assert [inst.sequence for inst in enumerate_instances(m, n)] == sorted(every)
+
     def test_lexicographic_order_puts_each_sequence_after_its_prefixes(self):
         seqs = [inst.sequence for inst in enumerate_instances(2, 2)]
         assert seqs == [(), (1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
@@ -271,6 +279,22 @@ class TestVerification:
         report = verify_engines(2, 5, CostModel.PARTIAL)
         assert report.passed
 
+    @pytest.mark.parametrize("model", list(CostModel))
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_edge_bounds_pass(self, m, model):
+        """At length 0 the empty instance is a leaf; at length 1 every
+        instance but the empty one is."""
+        for n, count in ((0, 1), (1, m + 1)):
+            report = verify_engines(m, n, model)
+            assert (report.passed, report.instances) == (True, count)
+
+    @pytest.mark.parametrize("model", list(CostModel))
+    def test_single_symbol_bound_passes(self, model):
+        """Every instance is (1,) * k, so the walk recomputes both references
+        and runs every configuration whole on each of them."""
+        report = verify_engines(1, 9, model)
+        assert (report.passed, report.instances) == (True, 10)
+
     def test_summary_lines_one_per_check(self):
         report = verify_engines(2, 3)
         lines = report.summary_lines()
@@ -345,12 +369,13 @@ def test_prefix_walk_ends_where_each_engine_run_ends(model):
     its steps whose whole window lies inside the parent; each configuration
     must end where a run over the whole instance ends."""
     count = 0
-    for instance, runs in listlab.oracle._prefix_runs(4, 6, model):
+    for instance, runs, _, _ in listlab.oracle._prefix_runs(4, 6, model):
         count += 1
         state = instance.to_state()
-        for (kind, policy), run in zip(listlab.oracle.RUNS, runs):
+        for (kind, policy), (label, *_), run in zip(listlab.oracle.RUNS, listlab.oracle._CONFIGS, runs):
+            order, neg, cursor, total, *_ = run
             report = run_algorithm(kind, state, instance.sequence, model, policy)
-            walked = (run.label, run.total, run.order, dict(zip(run.order, [-c for c in run.neg])), run.cursor)
+            walked = (label, total, order, dict(zip(order, [-c for c in neg])), cursor)
             expected = (
                 report.label,
                 report.total_cost,
@@ -366,28 +391,44 @@ def test_prefix_walk_ends_where_each_engine_run_ends(model):
 @pytest.mark.parametrize("m,n,count", [(4, 6, 5461), (5, 5, 3906)])
 def test_prefix_walk_carries_both_references(model, m, n, count):
     """The walk's references feed both sides of the checks, so a slip in the
-    chain's bookkeeping shows only against the per-instance references."""
-    walked = 0
-    for instance, runs in listlab.oracle._prefix_runs(m, n, model):
+    chain's bookkeeping shows only against the per-instance references. A
+    leaf, an instance of length n, takes OPT from its parent's ``reach``
+    without stepping it, so this pins that rule on every leaf too."""
+    walked = leaves = 0
+    for instance, _, reference, opt in listlab.oracle._prefix_runs(m, n, model):
         walked += 1
+        leaves += len(instance.sequence) == n
         expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
-        assert (runs.reference, runs.opt) == expected, instance
+        assert (reference, opt) == expected, instance
     assert walked == count
+    assert leaves == m**n
 
 
 def test_prefix_walk_extends_each_instance_once(monkeypatch):
-    """Every non-empty instance extends its parent once, and no prefix is
-    extended again."""
-    real = listlab.oracle._Prefix.extended
+    """Every non-empty instance is served once from its parent's chain entry.
+    A leaf (length 6) serves each run to the end and commits nothing. Every
+    other instance commits each run to its own chain entry and then serves
+    only VFC's rest: MTF, TRANS and FC are online, so they committed it all."""
+    real = listlab.oracle._served
     calls = []
 
-    def extended(self, sequence, *args):
-        calls.append(sequence)
-        return real(self, sequence, *args)
+    def served(run, config, sequence, costs, committed):
+        calls.append((sequence, config[0], committed))
+        return real(run, config, sequence, costs, committed)
 
-    monkeypatch.setattr(listlab.oracle._Prefix, "extended", extended)
+    monkeypatch.setattr(listlab.oracle, "_served", served)
     assert verify_engines(4, 6).passed
-    assert len(calls) == len(set(calls)) == 5460
+    assert len(calls) == len(set(calls)) == 30028
+    served_by = {}
+    for sequence, label, committed in calls:
+        served_by.setdefault(sequence, set()).add((label, committed))
+    labels = [label for label, *_ in listlab.oracle._CONFIGS]
+    leaf = {(label, False) for label in labels}
+    inner = {(label, True) for label in labels} | {("vfc[literal]", False), ("vfc[strict]", False)}
+    assert len(served_by) == 5460 and () not in served_by
+    assert all(how == (leaf if len(sequence) == 6 else inner) for sequence, how in served_by.items())
+    # with the empty instance's, 1,365 chain entries, one per instance that is not a leaf
+    assert sum(how == inner for how in served_by.values()) == 1364
 
 
 def test_prefix_walk_refuses_a_chain_that_disagrees_with_the_references(monkeypatch):

@@ -21,7 +21,7 @@ from listlab import (
     VerificationReport,
     Zipf,
 )
-from listlab.oracle import CheckResult, _Run
+from listlab.oracle import CheckResult
 
 
 def test_every_exported_name_resolves():
@@ -44,8 +44,8 @@ def test_all_lists_exactly_the_public_names():
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# what the package used to pull in through xml.sax and dataclasses
-HEAVY_IMPORTS = {"xml", "urllib", "http", "email", "ssl", "socket", "dataclasses", "inspect"}
+# what the package used to pull in through xml.sax and dataclasses, and the enumeration through heapq
+HEAVY_IMPORTS = {"xml", "urllib", "http", "email", "ssl", "socket", "dataclasses", "inspect", "heapq"}
 
 
 def test_import_loads_none_of_the_heavy_stdlib_modules():
@@ -56,10 +56,6 @@ def test_import_loads_none_of_the_heavy_stdlib_modules():
     added = out.split()
     assert "listlab" in added
     assert [name for name in added if name.split(".")[0] in HEAVY_IMPORTS] == []
-
-
-def _run_stub(*_):
-    return 0, 0
 
 
 # (class, required args only, the repr they give, which pins every default, args with one field changed or None,
@@ -98,12 +94,6 @@ RECORDS = [
         VerificationReport, ([CheckResult("opt", 3, [])], 3),
         "VerificationReport(checks=[CheckResult(name='opt', instances=3, failures=[])], instances=3)",
         ([], 3), False, False, id="VerificationReport",
-    ),
-    pytest.param(
-        _Run, ("fc", _run_stub, False, [1], [0]),
-        f"_Run(label='fc', serve={_run_stub!r}, lookahead=False, order=[1], neg=[0], cursor=0, total=0, "
-        "unsorted=None, batches=(), swallowed=False)",
-        ("fc", _run_stub, False, [1], [0], 1), False, True, id="_Run",
     ),
     pytest.param(
         ComparisonRow, ("a", 1, 2, CostModel.FULL, {"fc": 3}),
