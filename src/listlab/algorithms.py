@@ -50,20 +50,20 @@ fire a batch, under either policy:
 
 So a call looks up and tests for a window only a request other than the
 one it served last, and serves a repeat as an FC step at the index j the
-last step left, which ``_promote`` returns when that step moved s.
+last step left, which ``_promote`` returns when that step moved s. Only a
+call that serves more than one step takes this repeat branch: traced runs,
+runs with snapshots and the verifier's walk go one step a call and never
+do, while untraced runs and the verifier's whole reruns of ``(m,) * k`` do.
 
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger is its only branch on the policy. A kernel,
-``serve(order, neg, sequence, cursor, stop, costs, trace) -> (cursor,
-total)``, works over the order and the negated counters (FC and VFC keep
-their counters there alone until the run ends). It serves every step that
-starts before ``stop``, windows clipped at the sequence's end, charging
+``serve(order, neg, sequence, cursor, stop, costs) -> (cursor, total)``,
+works over the order and the negated counters (FC and VFC keep their
+counters there alone until the run ends). It serves every step that starts
+before ``stop``, windows clipped at the sequence's end, charging
 ``costs[j]`` for an access at index j plus one unit per extra consumed
-request and appending a ``StepRecord`` per step to a ``trace`` that is not
-None; it returns the cursor after its last step and the cost charged.
-``run_algorithm`` calls it once per run, or once per step to take snapshots;
-the verifier drives the same kernels a step at a time. A one-step call never
-takes VFC's repeat branch; the verifier's whole runs of ``(m,) * k`` do.
+request, and returns the cursor after its last step and the cost charged.
+A kernel only serves; ``run_algorithm`` records the steps.
 """
 
 from bisect import bisect_right
@@ -82,8 +82,8 @@ from .listcore import (
     access_cost,
 )
 
-Kernel = Callable[[list[Symbol], list[int], RequestSequence, int, int, list[int], list[StepRecord] | None],
-                  tuple[int, int]]  # a range kernel, see the module docstring
+# a range kernel, see the module docstring
+Kernel = Callable[[list[Symbol], list[int], RequestSequence, int, int, list[int]], tuple[int, int]]
 
 
 class UnsortedCounters(ListLabError):
@@ -113,7 +113,7 @@ class VfcPolicy(Enum):
 
 
 class RunReport(_Record):
-    """Trace and total access cost of one engine run.
+    """The step records and total access cost of one engine run.
 
     ``label`` names the engine that ran: ``mtf``, ``trans``, ``fc``,
     ``vfc[literal]`` or ``vfc[strict]``; every output keys its totals by it.
@@ -141,7 +141,7 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:
     return c
 
 
-def _mtf(order, neg, sequence, cursor, stop, costs, trace):
+def _mtf(order, neg, sequence, cursor, stop, costs):
     total = 0
     try:
         for request in sequence[cursor:stop]:
@@ -149,14 +149,12 @@ def _mtf(order, neg, sequence, cursor, stop, costs, trace):
             if j:
                 order.insert(0, order.pop(j))
             total += costs[j]
-            if trace is not None:
-                trace.append(StepRecord(request, j + 1, costs[j]))
     except ValueError:  # every earlier request was served, so this is its first occurrence
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
     return stop, total
 
 
-def _trans(order, neg, sequence, cursor, stop, costs, trace):
+def _trans(order, neg, sequence, cursor, stop, costs):
     total = 0
     try:
         for request in sequence[cursor:stop]:
@@ -164,14 +162,12 @@ def _trans(order, neg, sequence, cursor, stop, costs, trace):
             if j:
                 order[j - 1], order[j] = order[j], order[j - 1]
             total += costs[j]
-            if trace is not None:
-                trace.append(StepRecord(request, j + 1, costs[j]))
     except ValueError:
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
     return stop, total
 
 
-def _fc(order, neg, sequence, cursor, stop, costs, trace):
+def _fc(order, neg, sequence, cursor, stop, costs):
     total = 0
     try:
         for request in sequence[cursor:stop]:
@@ -182,8 +178,6 @@ def _fc(order, neg, sequence, cursor, stop, costs, trace):
             else:
                 neg[j] = -f
             total += costs[j]
-            if trace is not None:
-                trace.append(StepRecord(request, j + 1, costs[j]))
     except ValueError:
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
     return stop, total
@@ -192,7 +186,7 @@ def _fc(order, neg, sequence, cursor, stop, costs, trace):
 def _vfc(strict: bool) -> Kernel:
     """VFC's range kernel under one batch trigger (see :class:`VfcPolicy`)."""
 
-    def serve(order, neg, sequence, cursor, stop, costs, trace):
+    def serve(order, neg, sequence, cursor, stop, costs):
         n = len(sequence)
         total = 0
         previous = None  # the request this call served last; a repeat keeps its index j (module docstring)
@@ -216,10 +210,7 @@ def _vfc(strict: bool) -> Kernel:
                         elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
                             consumed = end - cursor
                 f = consumed - neg[j]
-                cost = costs[j] + consumed - 1
-                total += cost
-                if trace is not None:
-                    trace.append(StepRecord(request, j + 1, cost, consumed))
+                total += costs[j] + consumed - 1
                 cursor += consumed
                 if j and neg[j - 1] > -f:
                     j = _promote(order, neg, j, f)
@@ -260,9 +251,11 @@ def run_algorithm(
     """Run one engine over a whole request sequence.
 
     Every request is consumed exactly once across steps. ``keep_trace=False``
-    drops the per-step records (corpus-scale runs only need totals);
-    ``snapshots=True`` keeps them whatever ``keep_trace`` says, and also
-    captures the list order and counters after every step.
+    drops the per-step records (corpus-scale runs only need totals) and
+    serves the sequence in one kernel call; a run that records steps calls
+    the kernel once a step, and takes each record's position from the list
+    that step found. ``snapshots=True`` keeps the records whatever
+    ``keep_trace`` says, and also captures the order and counters after each.
     """
     order = list(state.order)
     neg = [-state.freq[s] for s in order]
@@ -279,13 +272,19 @@ def run_algorithm(
     serve = _KERNELS[label]
     costs = _access_costs(model, len(order))
     trace: list[StepRecord] = []
-    if snapshots:  # one step a call, to read the state after each
+    if keep_trace or snapshots:  # one step a call, to record each
         cursor = total = 0
         while cursor < len(sequence):
-            cursor, cost = serve(order, neg, sequence, cursor, cursor + 1, costs, trace)
+            request = sequence[cursor]
+            try:
+                position = order.index(request) + 1
+            except ValueError:  # absent: the kernel raises SymbolNotInList
+                position = 0
+            after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
             total += cost
-            trace[-1].list_after, trace[-1].freq_after = tuple(order), counters()
+            trace.append(StepRecord(request, position, cost, after - cursor,
+                                    tuple(order) if snapshots else None, counters() if snapshots else None))
+            cursor = after
     else:
-        total = serve(order, neg, sequence, 0, len(sequence), costs, trace if keep_trace else None)[1]
-
+        total = serve(order, neg, sequence, 0, len(sequence), costs)[1]
     return RunReport(label, total, trace, ListState(order, dict(zip(order, counters()))))

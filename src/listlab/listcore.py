@@ -111,10 +111,11 @@ class ListState(_Record):
 
 
 class StepRecord(_Record):
-    """One engine step: the request served, its pre-access position, the cost
-    charged, and how many requests the step consumed (batched lookahead steps
-    consume more than one). The snapshot of the order and the counters, front
-    to back, after the step is given only when the run is asked for one."""
+    """One engine step, as ``run_algorithm`` records it: the request served,
+    its pre-access position, the cost charged, and how many requests the step
+    consumed (batched lookahead steps consume more than one). The snapshot of
+    the order and the counters, front to back, after the step is given only
+    when the run is asked for one."""
 
     __slots__ = _fields = ("request", "position_before", "cost_charged", "requests_consumed", "list_after",
                            "freq_after")

@@ -59,8 +59,7 @@ from .algorithms import _KERNELS, AlgorithmKind, Kernel, VfcPolicy, _access_cost
 from .listcore import (CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList,
                        _Frozen, _Record)
 
-MAX_INSTANCE_LIST = 5
-MAX_INSTANCE_SEQ = 10
+# the largest list and sequence a SmallInstance holds, and so verify's bounds
 MAX_ENUM_LIST = 5
 MAX_ENUM_SEQ = 9
 # counterexamples kept per check; later ones are dropped
@@ -85,10 +84,10 @@ class SmallInstance(_Frozen):
 
     def __init__(self, order: tuple[Symbol, ...], sequence: tuple[Symbol, ...], model: CostModel = CostModel.FULL):
         vars(self).update(order=tuple(order), sequence=tuple(sequence), model=CostModel(model))
-        if len(self.order) > MAX_INSTANCE_LIST:
-            raise InstanceTooLarge(f"list size {len(self.order)} exceeds {MAX_INSTANCE_LIST}")
-        if len(self.sequence) > MAX_INSTANCE_SEQ:
-            raise InstanceTooLarge(f"sequence length {len(self.sequence)} exceeds {MAX_INSTANCE_SEQ}")
+        if len(self.order) > MAX_ENUM_LIST:
+            raise InstanceTooLarge(f"list size {len(self.order)} exceeds {MAX_ENUM_LIST}")
+        if len(self.sequence) > MAX_ENUM_SEQ:
+            raise InstanceTooLarge(f"sequence length {len(self.sequence)} exceeds {MAX_ENUM_SEQ}")
         if len(set(self.order)) != len(self.order):  # the two oracles would disagree on the list
             raise InvalidListState("list symbols must be pairwise distinct")
 
@@ -309,7 +308,7 @@ def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list
         # with no window (head counter <= g) ends by cursor + 1 <= end
         if committed and lookahead and cursor - neg[0] + neg[order.index(request)] + 1 > end:
             break
-        after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs, None)
+        after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
         total += cost
         if counting:
             if unsorted is None and neg != sorted(neg):

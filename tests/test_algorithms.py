@@ -18,6 +18,7 @@ from listlab import (
     preprocess,
     run_algorithm,
 )
+from listlab.oracle import MAX_ENUM_SEQ
 
 from _textgen import surrogate_corpus
 
@@ -200,9 +201,11 @@ NO_WINDOW_THEN_REPEATS = [(2, 2, 2, 1), (2, 1, 1, 1), (2, 1, 1, 1)]
 
 class TestVfcRepeats:
     """Requests that repeat the symbol just served, on the list 1, 2, ...
-    with the given counters under FULL. A whole run serves them at the index
-    the last step left and a run with snapshots one call a step; both give
-    these ``(request, position, cost, consumed)`` steps."""
+    with the given counters under FULL. A run without a trace is served
+    whole, and serves them at the index the last step left; a traced run and
+    a run with snapshots go one call a step and record these ``(request,
+    position, cost, consumed)`` steps. All three charge the steps' total, and
+    the whole run ends in the stepped runs' state."""
 
     @pytest.mark.parametrize(
         "policy,freq,sequence,steps",
@@ -225,12 +228,14 @@ class TestVfcRepeats:
     )
     def test_whole_run_serves_repeats_as_steps_do(self, policy, freq, sequence, steps):
         order = range(1, len(freq) + 1)
-        whole = run_algorithm(AlgorithmKind.VFC, state(order, freq), sequence, FULL, policy)
+        whole = run_algorithm(AlgorithmKind.VFC, state(order, freq), sequence, FULL, policy, keep_trace=False)
+        traced = run_algorithm(AlgorithmKind.VFC, state(order, freq), sequence, FULL, policy)
         stepped = run_algorithm(AlgorithmKind.VFC, state(order, freq), sequence, FULL, policy, snapshots=True)
-        for report in (whole, stepped):
+        for report in (traced, stepped):
             assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps] == steps
+        for report in (whole, traced, stepped):
             assert report.total_cost == sum(step[2] for step in steps)
-        assert whole.final_state == stepped.final_state
+        assert whole.final_state == traced.final_state == stepped.final_state
 
 
 class TestRunAlgorithm:
@@ -446,9 +451,14 @@ def naive_vfc_steps(order, freq, sequence, model, policy):
 @given(counted_or_run_heavy(), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
 def test_vfc_steps_match_reference(case, policy, model):
     order, freq, seq = case
-    report = run_algorithm(AlgorithmKind.VFC, ListState(list(order), dict(zip(order, freq))), seq, model, policy)
+    s = ListState(list(order), dict(zip(order, freq)))
+    expected = naive_vfc_steps(order, freq, seq, model, policy)
+    report = run_algorithm(AlgorithmKind.VFC, s, seq, model, policy)
     steps = [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps]
-    assert steps == naive_vfc_steps(order, freq, seq, model, policy)
+    assert steps == expected
+    # served whole, so a repeat takes the kernel's repeat branch
+    whole = run_algorithm(AlgorithmKind.VFC, s, seq, model, policy, keep_trace=False)
+    assert whole.total_cost == sum(step[2] for step in expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -476,7 +486,7 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
 
     # patched in the body, since hypothesis rejects function-scoped fixtures such as monkeypatch
     with mock.patch.object(listlab.algorithms, "_promote", promote):
-        run_algorithm(kind, state(order, freq), seq, model, policy)
+        run_algorithm(kind, state(order, freq), seq, model, policy, keep_trace=False)
         whole, calls = calls, []
         report = run_algorithm(kind, state(order, freq), seq, model, policy, snapshots=True)
     moved, before, served = [], order, sum(freq)
@@ -514,9 +524,9 @@ def test_run_leaves_its_input_and_ends_at_its_last_snapshot(case, configuration,
 @settings(max_examples=300, deadline=None)
 @given(counted_or_run_heavy(max_n=24), st.sampled_from(CONFIGURATIONS), st.sampled_from([FULL, PARTIAL]))
 def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
-    """A run without a trace, a traced run and a run with snapshots (served a
-    step at a time) end with the same total and state, and the traced steps
-    charge that total between them."""
+    """A run without a trace (served whole in one kernel call), a traced run
+    and a run with snapshots (both served a step at a time) end with the same
+    total and state, and the traced steps charge that total between them."""
     order, freq, seq = case
     kind, policy = configuration
     s = ListState(list(order), dict(zip(order, freq)))
@@ -566,7 +576,7 @@ class TestUnsortedCounters:
 def oracle_instance(draw):
     m = draw(st.integers(min_value=1, max_value=5))
     order = tuple(draw(st.permutations(range(1, m + 1))))
-    seq = draw(st.lists(st.sampled_from(order), max_size=10))
+    seq = draw(st.lists(st.sampled_from(order), max_size=MAX_ENUM_SEQ))
     return SmallInstance(order, tuple(seq), draw(st.sampled_from([FULL, PARTIAL])))
 
 

@@ -109,8 +109,9 @@ class TestBounds:
             SmallInstance((1, 2, 3, 4, 5, 6), ())
 
     def test_instance_sequence_too_long(self):
-        with pytest.raises(InstanceTooLarge):
-            SmallInstance((1,), (1,) * 11)
+        for n in (listlab.oracle.MAX_ENUM_SEQ + 1, 11):
+            with pytest.raises(InstanceTooLarge):
+                SmallInstance((1,), (1,) * n)
 
     def test_instance_list_repeats_a_symbol(self):
         # the two oracles would disagree on such a list (OPT 4, reference FC 5)
