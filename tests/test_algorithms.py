@@ -262,26 +262,27 @@ class TestRunAlgorithm:
 
     def test_vfc_absent_request_carries_index(self):
         with pytest.raises(SymbolNotInList) as exc:
-            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 7), FULL)
+            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 7), FULL, keep_trace=False)
         assert exc.value.request_index == 1
 
     def test_literal_batch_swallows_an_absent_request(self):
         # the batch on 2 at index 2 consumes (2, 9, 2), so the first request
         # served that is not listed is the 7, not the earlier 9
         with pytest.raises(SymbolNotInList) as exc:
-            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, LITERAL)
+            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, LITERAL, keep_trace=False)
         assert (exc.value.symbol, exc.value.request_index) == (7, 5)
         with pytest.raises(SymbolNotInList) as exc:
-            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, STRICT)
+            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, STRICT, keep_trace=False)
         assert (exc.value.symbol, exc.value.request_index) == (9, 3)
 
     @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda c: f"{c[0].value}-{c[1].value}")
     @pytest.mark.parametrize("sequence,index", [((9, 1, 2), 0), ((2, 1, 2, 9), 3), ((9,), 0)])
     def test_absent_request_at_either_end(self, configuration, sequence, index):
         kind, policy = configuration
-        for snapshots in (False, True):
+        # served whole, a step a call with a trace, and a step a call with snapshots
+        for keep_trace, snapshots in ((False, False), (True, False), (False, True)):
             with pytest.raises(SymbolNotInList) as exc:
-                run_algorithm(kind, state([1, 2]), sequence, FULL, policy, snapshots=snapshots)
+                run_algorithm(kind, state([1, 2]), sequence, FULL, policy, keep_trace=keep_trace, snapshots=snapshots)
             assert (exc.value.symbol, exc.value.request_index) == (9, index)
 
     def test_snapshots_capture_order_and_counters(self):
@@ -333,7 +334,7 @@ def test_every_engine_consumes_each_request_once(case, kind, model):
 @given(small_instance(), st.sampled_from(list(AlgorithmKind)))
 def test_full_model_lower_bound(case, kind):
     order, seq = case
-    report = run_algorithm(kind, state(order), seq, FULL)
+    report = run_algorithm(kind, state(order), seq, FULL, keep_trace=False)
     assert report.total_cost >= len(seq)
 
 
@@ -351,7 +352,7 @@ def test_engines_are_deterministic(case, kind, policy):
 @given(small_instance(), st.sampled_from([LITERAL, STRICT]))
 def test_vfc_conserves_counter_totals(case, policy):
     order, seq = case
-    report = run_algorithm(AlgorithmKind.VFC, state(order), seq, FULL, policy)
+    report = run_algorithm(AlgorithmKind.VFC, state(order), seq, FULL, policy, keep_trace=False)
     assert sum(report.final_state.freq.values()) == len(seq)
 
 

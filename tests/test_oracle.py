@@ -368,21 +368,22 @@ def _fail_block(report, check):
 def test_prefix_walk_ends_where_each_engine_run_ends(model):
     """The verifier extends every instance's parent by one request, VFC from
     its steps whose whole window lies inside the parent; each configuration
-    must end where a run over the whole instance ends."""
+    must end where a run over the whole instance, served in one kernel call,
+    ends. Only such a call takes VFC's repeat branch."""
     count = 0
     for instance, runs, _, _ in listlab.oracle._prefix_runs(4, 6, model):
         count += 1
         state = instance.to_state()
         for (kind, policy), (label, *_), run in zip(listlab.oracle.RUNS, listlab.oracle._CONFIGS, runs):
             order, neg, cursor, total, *_ = run
-            report = run_algorithm(kind, state, instance.sequence, model, policy)
+            report = run_algorithm(kind, state, instance.sequence, model, policy, keep_trace=False)
             walked = (label, total, order, dict(zip(order, [-c for c in neg])), cursor)
             expected = (
                 report.label,
                 report.total_cost,
                 report.final_state.order,
                 report.final_state.freq,
-                sum(step.requests_consumed for step in report.steps),
+                len(instance.sequence),
             )
             assert walked == expected, instance
     assert count == 5461
@@ -462,7 +463,7 @@ class TestLiteralBatchUndercut:
     def test_pinned_counterexample(self):
         inst = SmallInstance((1, 2, 3), (1, 1, 2, 1, 2))
         literal = run_algorithm(
-            AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.LITERAL
+            AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.LITERAL, keep_trace=False
         )
         assert literal.total_cost == 6
         assert opt_free_exchange_cost(inst) == 7
@@ -470,7 +471,7 @@ class TestLiteralBatchUndercut:
     def test_strict_policy_never_undercuts_here(self):
         inst = SmallInstance((1, 2, 3), (1, 1, 2, 1, 2))
         strict = run_algorithm(
-            AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS
+            AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS, keep_trace=False
         )
         assert strict.total_cost >= opt_free_exchange_cost(inst)
 
@@ -480,9 +481,11 @@ def test_literal_vfc_can_cost_more_than_fc():
     this sequence; strict VFC ties FC and the optimum."""
     inst = SmallInstance((1, 2, 3, 4), (1, 1, 2, 1, 2, 1, 3, 1))
     state = inst.to_state()
-    fc = run_algorithm(AlgorithmKind.FC, state, inst.sequence, FULL)
-    literal = run_algorithm(AlgorithmKind.VFC, state, inst.sequence, FULL, VfcPolicy.LITERAL)
-    strict = run_algorithm(AlgorithmKind.VFC, state, inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS)
+    fc = run_algorithm(AlgorithmKind.FC, state, inst.sequence, FULL, keep_trace=False)
+    literal = run_algorithm(AlgorithmKind.VFC, state, inst.sequence, FULL, VfcPolicy.LITERAL, keep_trace=False)
+    strict = run_algorithm(
+        AlgorithmKind.VFC, state, inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS, keep_trace=False
+    )
     assert fc.total_cost == 12
     assert literal.total_cost == 13
     assert strict.total_cost == 12
@@ -501,14 +504,14 @@ def random_instance(draw):
 @settings(max_examples=150, deadline=None)
 @given(random_instance())
 def test_fc_engine_matches_reference_on_random_instances(inst):
-    engine = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, FULL)
+    engine = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, FULL, keep_trace=False)
     assert engine.total_cost == naive_fc_cost(inst)
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_instance(), st.sampled_from([AlgorithmKind.MTF, AlgorithmKind.TRANS, AlgorithmKind.FC]))
 def test_opt_dominates_serving_engines_on_random_instances(inst, kind):
-    total = run_algorithm(kind, inst.to_state(), inst.sequence, FULL).total_cost
+    total = run_algorithm(kind, inst.to_state(), inst.sequence, FULL, keep_trace=False).total_cost
     assert opt_free_exchange_cost(inst) <= total
 
 
@@ -516,7 +519,7 @@ def test_opt_dominates_serving_engines_on_random_instances(inst, kind):
 @given(random_instance())
 def test_opt_dominates_strict_vfc_on_random_instances(inst):
     total = run_algorithm(
-        AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS
+        AlgorithmKind.VFC, inst.to_state(), inst.sequence, FULL, VfcPolicy.STRICT_HOMOGENEOUS, keep_trace=False
     ).total_cost
     assert opt_free_exchange_cost(inst) <= total
 
@@ -524,5 +527,5 @@ def test_opt_dominates_strict_vfc_on_random_instances(inst):
 @settings(max_examples=150, deadline=None)
 @given(random_instance())
 def test_mtf_within_twice_opt_on_random_instances(inst):
-    mtf = run_algorithm(AlgorithmKind.MTF, inst.to_state(), inst.sequence, FULL).total_cost
+    mtf = run_algorithm(AlgorithmKind.MTF, inst.to_state(), inst.sequence, FULL, keep_trace=False).total_cost
     assert mtf <= 2 * opt_free_exchange_cost(inst)
