@@ -34,16 +34,13 @@ from .listcore import (
     InvalidListState,
     ListLabError,
     ListState,
-    PositionOutOfRange,
     RequestSequence,
     StepRecord,
     Symbol,
     SymbolNotInList,
-    access_cost,
 )
 from .oracle import (
     BoundsExceeded,
-    InstanceTooLarge,
     SmallInstance,
     VerificationReport,
     enumerate_instances,
@@ -67,12 +64,10 @@ __all__ = [
     "EmptyAlphabet",
     "EmptyReport",
     "EmptySequence",
-    "InstanceTooLarge",
     "InvalidListState",
     "ListLabError",
     "ListOrderPolicy",
     "ListState",
-    "PositionOutOfRange",
     "RequestSequence",
     "RunLengths",
     "RunReport",
@@ -85,7 +80,6 @@ __all__ = [
     "VerificationReport",
     "VfcPolicy",
     "Zipf",
-    "access_cost",
     "derive_list",
     "enumerate_instances",
     "format_table",

@@ -79,7 +79,6 @@ from .listcore import (
     Symbol,
     SymbolNotInList,
     _Record,
-    access_cost,
 )
 
 # a range kernel, see the module docstring
@@ -233,9 +232,10 @@ def _label(kind: AlgorithmKind, policy: VfcPolicy) -> str:
     return f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
 
 
-def _access_costs(model: CostModel, m: int) -> list[int]:
-    """The charge at each list index, one lookup a step; ``access_cost`` states the model."""
-    return [access_cost(model, p) for p in range(1, m + 1)]
+def _access_costs(model: CostModel | str, m: int) -> list[int]:
+    """The charge at each list index, one lookup a step (see :class:`CostModel`); another model raises ValueError."""
+    head = 1 if CostModel(model) is CostModel.FULL else 0
+    return list(range(head, m + head))
 
 
 def run_algorithm(

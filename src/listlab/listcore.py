@@ -36,10 +36,6 @@ class SymbolNotInList(ListLabError):
         super().__init__(f"symbol {symbol!r} is not in the list (request index {request_index})")
 
 
-class PositionOutOfRange(ListLabError):
-    pass
-
-
 class InvalidListState(ListLabError, ValueError):
     """A list repeats a symbol or lacks a non-negative counter for one."""
 
@@ -125,10 +121,3 @@ class StepRecord(_Record):
         self.request, self.position_before, self.cost_charged = request, position_before, cost_charged
         self.requests_consumed, self.list_after, self.freq_after = requests_consumed, list_after, freq_after
 
-
-def access_cost(model: CostModel | str, position: int) -> int:
-    """Cost of accessing the element at ``position`` under ``model``, a
-    ``CostModel`` or its value; any other value raises ``ValueError``."""
-    if position < 1:
-        raise PositionOutOfRange(f"positions are 1-based, got {position}")
-    return position if CostModel(model) is CostModel.FULL else position - 1

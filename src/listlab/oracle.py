@@ -55,7 +55,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .algorithms import _KERNELS, AlgorithmKind, Kernel, VfcPolicy, _access_costs, _label, run_algorithm
+from . import algorithms  # the walk reads _access_costs through it, so one patch reaches every run
+from .algorithms import _KERNELS, AlgorithmKind, Kernel, VfcPolicy, _label, run_algorithm
 from .listcore import (CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList,
                        _Frozen, _Record)
 
@@ -68,12 +69,8 @@ FAILURE_LIMIT = 5
 _Table = Mapping[Symbol, tuple[tuple[int, tuple[int, ...]], ...]]
 
 
-class InstanceTooLarge(ListLabError):
-    """The brute-force oracle only accepts tiny instances."""
-
-
 class BoundsExceeded(ListLabError):
-    """Exhaustive enumeration was asked for more than it can afford."""
+    """An instance or an enumeration exceeds ``MAX_ENUM_LIST`` symbols or ``MAX_ENUM_SEQ`` requests."""
 
 
 class SmallInstance(_Frozen):
@@ -85,9 +82,9 @@ class SmallInstance(_Frozen):
     def __init__(self, order: tuple[Symbol, ...], sequence: tuple[Symbol, ...], model: CostModel = CostModel.FULL):
         vars(self).update(order=tuple(order), sequence=tuple(sequence), model=CostModel(model))
         if len(self.order) > MAX_ENUM_LIST:
-            raise InstanceTooLarge(f"list size {len(self.order)} exceeds {MAX_ENUM_LIST}")
+            raise BoundsExceeded(f"list size {len(self.order)} exceeds {MAX_ENUM_LIST}")
         if len(self.sequence) > MAX_ENUM_SEQ:
-            raise InstanceTooLarge(f"sequence length {len(self.sequence)} exceeds {MAX_ENUM_SEQ}")
+            raise BoundsExceeded(f"sequence length {len(self.sequence)} exceeds {MAX_ENUM_SEQ}")
         if len(set(self.order)) != len(self.order):  # the two oracles would disagree on the list
             raise InvalidListState("list symbols must be pairwise distinct")
 
@@ -208,8 +205,8 @@ FULL_MODEL_CHECKS = ("mtf-within-twice-opt", "full-model-lower-bound")
 # the engine configurations verify walks: mtf, trans, fc, vfc[literal], vfc[strict]
 RUNS = (*((kind, VfcPolicy.LITERAL) for kind in AlgorithmKind), (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS))
 # per configuration of RUNS: label, kernel, whether it reads a window (VFC), whether it keeps counters (FC, VFC)
-_CONFIGS = tuple((label, _KERNELS[label], label.startswith("vfc"), label not in ("mtf", "trans"))
-                 for label in (_label(kind, policy) for kind, policy in RUNS))
+_CONFIGS = tuple((label, _KERNELS[label], kind is AlgorithmKind.VFC, kind in (AlgorithmKind.FC, AlgorithmKind.VFC))
+                 for kind, label in ((kind, _label(kind, policy)) for kind, policy in RUNS))
 _Config = tuple[str, Kernel, bool, bool]
 # a run after some requests: (order, neg, cursor, total, unsorted, batches, swallowed); see verify_engines
 _State = tuple[list[Symbol], list[int], int, int, str | None, tuple[tuple[int, str], ...], bool]
@@ -326,7 +323,7 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
     serving it, the FC reference's total and OPT. ``chain[k]`` holds what the
     first k requests of the previous instance left: its runs, each committed,
     the FC reference's (symbol, counter) entries and total, and OPT's ``reach``."""
-    costs = _access_costs(model, m)
+    costs = algorithms._access_costs(model, m)
     head = _head_cost(model)
     chain: list[tuple[list[_State], list[tuple[Symbol, int]], int, dict[int, int]]] = []
     for instance in enumerate_instances(m, n_max, model):

@@ -12,7 +12,6 @@ from listlab import (
     SymbolNotInList,
     UnsortedCounters,
     VfcPolicy,
-    access_cost,
     derive_list,
     naive_fc_step_costs,
     preprocess,
@@ -382,7 +381,7 @@ def test_steps_move_only_the_request_forward(case, kind, policy, model):
     for step in run_algorithm(kind, state(order), seq, model, policy, snapshots=True).steps:
         position = before.index(step.request) + 1
         assert step.position_before == position
-        assert step.cost_charged == access_cost(model, position) + step.requests_consumed - 1
+        assert step.cost_charged == position - (model is PARTIAL) + step.requests_consumed - 1
         after = step.list_after
         assert after.index(step.request) <= position - 1
         assert [s for s in after if s != step.request] == [s for s in before if s != step.request]

@@ -10,7 +10,6 @@ from listlab import (
     AlgorithmKind,
     BoundsExceeded,
     CostModel,
-    InstanceTooLarge,
     ListLabError,
     ListState,
     SmallInstance,
@@ -105,12 +104,12 @@ def test_absent_request_names_its_index(oracle, sequence, index):
 
 class TestBounds:
     def test_instance_list_too_large(self):
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(BoundsExceeded):
             SmallInstance((1, 2, 3, 4, 5, 6), ())
 
     def test_instance_sequence_too_long(self):
         for n in (listlab.oracle.MAX_ENUM_SEQ + 1, 11):
-            with pytest.raises(InstanceTooLarge):
+            with pytest.raises(BoundsExceeded):
                 SmallInstance((1,), (1,) * n)
 
     def test_instance_list_repeats_a_symbol(self):
@@ -202,14 +201,14 @@ def _promote_ignoring_ties(real):
 
 
 def _free_head(real):
-    return lambda model, position: 0 if position == 1 else real(model, position)
+    return lambda model, m: [0, *real(model, m)[1:]]
 
 
 # (check, name, change, first counterexample): each change breaks what its
 # check guards. A bare name is a reference value the checks read, an
 # argument of ``listlab.oracle._failures``, and change maps it; a name in
 # ``listlab.algorithms`` is an engine helper, and change(real) replaces it:
-# every engine run prices its positions with ``access_cost``, and every FC or
+# every engine run prices its positions with ``_access_costs``, and every FC or
 # VFC step that moves an element calls ``_promote``.
 PERTURBATIONS = [
     (
@@ -244,7 +243,7 @@ PERTURBATIONS = [
     ),
     (
         "full-model-lower-bound",
-        "algorithms.access_cost",
+        "algorithms._access_costs",
         _free_head,
         "order=(1, 2, 3) seq=(1,): mtf total 0 < n 1",
     ),
@@ -344,12 +343,13 @@ class TestVerification:
         ]
 
     def test_detects_perturbed_cost_constant(self, monkeypatch):
-        real = listlab.algorithms.access_cost
+        real = listlab.algorithms._access_costs
 
-        def skewed(model, position):
-            return real(model, position) + (1 if position > 1 else 0)
+        def skewed(model, m):
+            head, *rest = real(model, m)
+            return [head, *(cost + 1 for cost in rest)]
 
-        monkeypatch.setattr(listlab.algorithms, "access_cost", skewed)
+        monkeypatch.setattr(listlab.algorithms, "_access_costs", skewed)
         report = verify_engines(2, 3)
         assert not report.passed
         failing = [c for c in report.checks if c.failures]
@@ -404,6 +404,17 @@ def test_prefix_walk_carries_both_references(model, m, n, count):
         assert (reference, opt) == expected, instance
     assert walked == count
     assert leaves == m**n
+
+
+def test_configurations_take_their_traits_from_their_kinds():
+    """Only VFC reads a window; FC and VFC keep counters."""
+    assert [(label, lookahead, counting) for label, _, lookahead, counting in listlab.oracle._CONFIGS] == [
+        ("mtf", False, False),
+        ("trans", False, False),
+        ("fc", False, True),
+        ("vfc[literal]", True, True),
+        ("vfc[strict]", True, True),
+    ]
 
 
 def test_prefix_walk_extends_each_instance_once(monkeypatch):
