@@ -9,7 +9,8 @@ Subcommands:
           instances
 
 Exit codes: 0 success, 1 configuration or input error, 2 verification found
-a violated property, 3 an engine broke an internal invariant.
+a violated property, 3 an engine broke an internal invariant: a full-model
+total below the request count, or verify's walk disagreeing with a rerun.
 """
 
 import argparse
@@ -146,16 +147,14 @@ def _distinct_labels(inputs: list[tuple[str, RequestSequence]]) -> list[tuple[st
     """Suffix ``#2``, ``#3``, ... to a label that an earlier input already
     has (the same path given twice, a file named like the demo), because
     the CSV reader folds neighbouring rows with one label into one row."""
-    taken: set[str] = set()
-    distinct = []
+    distinct: dict[str, RequestSequence] = {}
     for label, sequence in inputs:
         unique, k = label, 1
-        while unique in taken:
+        while unique in distinct:
             k += 1
             unique = f"{label}#{k}"
-        taken.add(unique)
-        distinct.append((unique, sequence))
-    return distinct
+        distinct[unique] = sequence
+    return list(distinct.items())
 
 
 def cmd_run(args) -> int:
@@ -168,9 +167,8 @@ def cmd_run(args) -> int:
 
     rows: list[ComparisonRow] = []
     for name, sequence in _gather_inputs(args):
-        if args.limit is not None:
-            sequence = sequence[: args.limit]
-        state = derive_list(sequence, list_order)
+        sequence = sequence[: args.limit]  # all of it without --limit
+        state, n = derive_list(sequence, list_order), len(sequence)
         costs: dict[str, int] = {}
         for kind in algorithms:
             report = run_algorithm(kind, state, sequence, model, policy, keep_trace=args.trace)
@@ -182,15 +180,10 @@ def cmd_run(args) -> int:
                         f"step={i} request={step.request} pos={step.position_before} "
                         f"cost={step.cost_charged} consumed={step.requests_consumed}"
                     )
-        rows.append(ComparisonRow(name, len(sequence), len(state), model, costs))
-
-    if model is CostModel.FULL:
-        for row in rows:
-            for algo, total in row.costs.items():
-                if total < row.n:
-                    print(f"internal error: {algo} on {row.file} charged {total} "
-                          f"for {row.n} requests (below the full-model lower bound)", file=sys.stderr)
-                    return EXIT_INTERNAL
+            if model is CostModel.FULL and report.total_cost < n:
+                raise RuntimeError(f"{report.label} on {name} charged {report.total_cost} for {n} requests "
+                                   "(below the full-model lower bound)")
+        rows.append(ComparisonRow(name, n, len(state), model, costs))
 
     print(format_table(rows), end="")
     if args.csv:
@@ -203,8 +196,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_chart(args) -> int:
-    text = Path(args.from_csv).read_text(encoding="utf-8")
-    rows = rows_from_csv(text)
+    rows = rows_from_csv(Path(args.from_csv).read_text(encoding="utf-8"))
     Path(args.out).write_text(render_bar_chart(rows), encoding="utf-8", newline="")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -227,9 +219,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_CONFIG if err.code else EXIT_OK
     handlers = {"run": cmd_run, "chart": cmd_chart, "verify": cmd_verify}
@@ -238,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ListLabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as err:  # a broken invariant (see the module docstring)
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ The CSV is long form, one line per (input, algorithm) pair, with header
 ``trans``, ``fc``, ``vfc[literal]`` or ``vfc[strict]``, so the two VFC
 policies never share a column. Parsing an emitted document reproduces the
 rows exactly. A count that is not a non-negative integer, an unknown cost
-model or an input's second total for one algo fails with its line number.
+model, an input's second total for one algo or a line ``csv`` cannot read
+fails with its line number.
 """
 
 import csv
@@ -46,28 +47,31 @@ def _count(name: str, value: str) -> int:
 
 def rows_from_csv(text: str) -> list[ComparisonRow]:
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty CSV document") from None
+    try:  # each line with the number of the last physical line it spans
+        numbered = [(reader.line_num, line) for line in reader]
+    except csv.Error as err:  # such as a field longer than csv.field_size_limit()
+        raise ValueError(f"CSV line {reader.line_num}: {err}") from None
+    if not numbered:
+        raise ValueError("empty CSV document")
+    header = tuple(numbered[0][1])
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header!r}")
     rows: list[ComparisonRow] = []
-    for line in reader:
+    for line_num, line in numbered[1:]:
         if not line:
             continue
         if len(line) != len(CSV_HEADER):
-            raise ValueError(f"CSV line {reader.line_num} has {len(line)} fields, expected {len(CSV_HEADER)}")
+            raise ValueError(f"CSV line {line_num} has {len(line)} fields, expected {len(CSV_HEADER)}")
         file, n, list_size, algo, model, total = line
         try:
             key = (file, _count("n", n), _count("list_size", list_size), CostModel(model))
             cost = _count("total_cost", total)
         except ValueError as err:
-            raise ValueError(f"CSV line {reader.line_num}: {err}") from None
+            raise ValueError(f"CSV line {line_num}: {err}") from None
         if not rows or (rows[-1].file, rows[-1].n, rows[-1].list_size, rows[-1].cost_model) != key:
             rows.append(ComparisonRow(*key, {}))
         elif algo in rows[-1].costs:
-            raise ValueError(f"CSV line {reader.line_num}: repeated algo {algo!r} for file {file!r}")
+            raise ValueError(f"CSV line {line_num}: repeated algo {algo!r} for file {file!r}")
         rows[-1].costs[algo] = cost
     return rows
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import listlab.algorithms
+import listlab.oracle
 from listlab import AlgorithmKind, CostModel, derive_list, preprocess, rows_from_csv, rows_to_csv, run_algorithm
 from listlab.cli import DEMO_NAME, DEMO_SEQUENCE, main
 from listlab.report import CSV_HEADER
@@ -37,9 +39,37 @@ class TestVerify:
         assert "all checks passed" in proc.stdout
 
     def test_bounds_beyond_enumeration_are_a_config_error(self):
-        code, _, err = run_cli(["verify", "--max-list-size", "6"])
+        m = listlab.oracle.MAX_ENUM_LIST + 1
+        code, _, err = run_cli(["verify", "--max-list-size", str(m)])
         assert code == 1
-        assert "list size 6" in err
+        assert f"list size {m}" in err
+
+
+class TestInternalError:
+    """A broken invariant exits 3 with one ``internal error:`` line and no traceback."""
+
+    def test_run_below_the_full_model_lower_bound(self, monkeypatch):
+        real = listlab.algorithms._access_costs
+        monkeypatch.setattr(listlab.algorithms, "_access_costs", lambda model, m: [0, *real(model, m)[1:]])
+        code, out, err = run_cli(["run", "--demo"])
+        assert (code, out) == (3, "")
+        assert err == "internal error: mtf on demo charged 5 for 6 requests (below the full-model lower bound)\n"
+
+    def test_verify_walk_that_disagrees_with_a_whole_run(self, monkeypatch):
+        """A ``_promote`` that hands back the index it was given breaks the
+        whole run of (2, 2), which the walk reruns from scratch."""
+        real = listlab.algorithms._promote
+
+        def stale(order, neg, j, f):
+            real(order, neg, j, f)
+            return j
+
+        monkeypatch.setattr(listlab.algorithms, "_promote", stale)
+        code, _, err = run_cli(["verify", "--max-list-size", "2", "--max-seq-len", "3"])
+        assert code == 3
+        (line,) = err.splitlines()
+        assert line.startswith("internal error: SmallInstance(order=(1, 2), sequence=(2, 2)")
+        assert "Traceback" not in err
 
 
 def test_trace_prints_batched_step():
@@ -100,6 +130,15 @@ class TestChart:
         assert "CSV line 2: total_cost '-3'" in err
         assert not svg_path.exists()
 
+    def test_field_over_the_csv_size_limit_is_a_config_error_and_writes_no_svg(self, tmp_path):
+        csv_path, svg_path = tmp_path / "long.csv", tmp_path / "long.svg"
+        csv_path.write_text(",".join(CSV_HEADER) + "\na,1,2,fc,full,3\n\"" + "x" * 140_000, encoding="utf-8")
+        code, _, err = run_cli(["chart", "--from-csv", str(csv_path), "--out", str(svg_path)])
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("error: CSV line ")
+        assert not svg_path.exists()
+
     def test_repeated_pair_is_a_config_error_and_writes_no_svg(self, tmp_path):
         csv_path, svg_path = tmp_path / "dup.csv", tmp_path / "dup.svg"
         csv_path.write_text(",".join(CSV_HEADER) + "\na,1,2,fc,full,3\na,1,2,fc,full,5\n", encoding="utf-8")
@@ -157,6 +196,34 @@ class TestAlgos:
         code, out, _ = run_cli(["run", "--demo", "--algos", " fc,,mtf "])
         assert code == 0
         assert out.splitlines()[0].split()[-4:] == ["fc", "cost", "mtf", "cost"]
+
+
+class TestRunOptions:
+    def test_limit_truncates_every_sequence(self, tmp_path):
+        csv_path = tmp_path / "o.csv"
+        assert run_cli(["run", "--demo", "--limit", "3", "--csv", str(csv_path)])[0] == 0
+        (row,) = rows_from_csv(csv_path.read_text(encoding="utf-8"))
+        sequence = DEMO_SEQUENCE[:3]
+        reports = [run_algorithm(kind, derive_list(sequence), sequence, CostModel.FULL) for kind in AlgorithmKind]
+        expected = {report.label: report.total_cost for report in reports}
+        assert (row.n, row.list_size, row.costs) == (3, 2, expected)
+        assert expected == {"mtf": 4, "trans": 4, "fc": 5, "vfc[literal]": 4}
+
+    def test_limit_below_one_is_a_config_error(self):
+        code, out, err = run_cli(["run", "--demo", "--limit", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: --limit must be at least 1\n"
+
+    @pytest.mark.parametrize("list_order,total", [("first-occurrence", 6), ("byte-value", 9)])
+    def test_list_order_sets_the_initial_list(self, tmp_path, list_order, total):
+        """On ``cba``, first occurrence gives the list c, b, a (1 + 2 + 3);
+        byte value gives a, b, c, and each request is then last (3 + 3 + 3)."""
+        path, csv_path = tmp_path / "cba.txt", tmp_path / "o.csv"
+        path.write_bytes(b"cba")
+        argv = ["run", str(path), "--algos", "mtf", "--list-order", list_order, "--csv", str(csv_path)]
+        assert run_cli(argv)[0] == 0
+        (row,) = rows_from_csv(csv_path.read_text(encoding="utf-8"))
+        assert row.costs == {"mtf": total}
 
 
 # (directory, basename) pairs; "demo" collides with the --demo label, and

@@ -105,7 +105,7 @@ def test_absent_request_names_its_index(oracle, sequence, index):
 class TestBounds:
     def test_instance_list_too_large(self):
         with pytest.raises(BoundsExceeded):
-            SmallInstance((1, 2, 3, 4, 5, 6), ())
+            SmallInstance(tuple(range(1, listlab.oracle.MAX_ENUM_LIST + 2)), ())
 
     def test_instance_sequence_too_long(self):
         for n in (listlab.oracle.MAX_ENUM_SEQ + 1, 11):
@@ -117,7 +117,7 @@ class TestBounds:
         with pytest.raises(ListLabError):
             SmallInstance((1, 1, 2), (2, 1))
 
-    @pytest.mark.parametrize("m,n", [(6, 2), (2, 10), (0, 2), (2, -1)])
+    @pytest.mark.parametrize("m,n", [(listlab.oracle.MAX_ENUM_LIST + 1, 2), (2, 10), (0, 2), (2, -1)])
     def test_enumeration_bounds(self, m, n):
         with pytest.raises(BoundsExceeded):
             enumerate_instances(m, n)
@@ -233,7 +233,7 @@ PERTURBATIONS = [
         "mtf-within-twice-opt",
         "opt",
         lambda opt: opt // 3,
-        "order=(1, 2, 3) seq=(1,): mtf 1 > 2*opt 0",
+        "order=(1, 2, 3) seq=(1,): mtf 1 > 2*opt - n = -1",
     ),
     (
         "fc-vfc-conservation",
@@ -280,7 +280,7 @@ class TestVerification:
         assert report.passed
 
     @pytest.mark.parametrize("model", list(CostModel))
-    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, listlab.oracle.MAX_ENUM_LIST + 1))
     def test_edge_bounds_pass(self, m, model):
         """At length 0 the empty instance is a leaf; at length 1 every
         instance but the empty one is."""
@@ -538,5 +538,9 @@ def test_opt_dominates_strict_vfc_on_random_instances(inst):
 @settings(max_examples=150, deadline=None)
 @given(random_instance())
 def test_mtf_within_twice_opt_on_random_instances(inst):
-    mtf = run_algorithm(AlgorithmKind.MTF, inst.to_state(), inst.sequence, FULL, keep_trace=False).total_cost
-    assert mtf <= 2 * opt_free_exchange_cost(inst)
+    """Sleator & Tarjan: MTF <= 2 * OPT - n when the head costs one, and
+    MTF <= 2 * OPT when it is free."""
+    for model, slack in ((FULL, len(inst.sequence)), (CostModel.PARTIAL, 0)):
+        inst = SmallInstance(inst.order, inst.sequence, model)
+        mtf = run_algorithm(AlgorithmKind.MTF, inst.to_state(), inst.sequence, model, keep_trace=False).total_cost
+        assert mtf <= 2 * opt_free_exchange_cost(inst) - slack

@@ -102,6 +102,15 @@ class TestCsv:
             rows_from_csv(text)
         assert str(exc.value) == "CSV line 3: repeated algo 'fc' for file 'a'"
 
+    @pytest.mark.parametrize("at", [1, 3], ids=["header", "row"])
+    def test_field_over_the_csv_size_limit_is_a_value_error_with_line_number(self, at):
+        """An unterminated quote runs on to the end of the document; once
+        that passes ``csv.field_size_limit()`` the reader raises ``csv.Error``."""
+        lines = rows_to_csv(sample_rows()).splitlines()[: at - 1]
+        with pytest.raises(ValueError) as exc:
+            rows_from_csv("\n".join([*lines, '"' + "x" * 140_000]) + "\n")
+        assert str(exc.value).startswith(f"CSV line {at}: field larger than field limit")
+
 
 class TestTable:
     def test_contains_all_costs(self):
