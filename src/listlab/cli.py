@@ -1,4 +1,4 @@
-"""Benchmark harness.
+"""Compare MTF, TRANS, FC and VFC on request sequences, and verify them on small instances.
 
 Subcommands:
   run     serve corpus files, a built-in demo instance, or a generated

@@ -20,11 +20,14 @@ swallow requests for other symbols at one unit each without ever visiting
 their list positions, and that can legitimately land below the optimum of
 any true serving strategy (requests (1,1,2,1,2) on list (1,2,3) cost 6
 against an optimum of 7). Strict-policy batches consume only repeats of the
-accessed symbol, and their charge ``p + (B - 1)`` is exactly realizable by
-accessing at p, moving to the front for free, and serving the remaining
-B - 1 repeats at the head, so dominance holds for them unconditionally.
-The dominance check therefore covers MTF, TRANS, FC and strict VFC on every
-instance, and literal VFC only on runs whose batches swallowed nothing.
+accessed symbol. Accessing it at p, moving it to the front for free and
+serving the other B - 1 repeats at the head costs p + (B - 1) under the full
+model, the batch's charge, and p - 1 under the partial one, at most the
+batch's (p - 1) + (B - 1). An uncut batch also leaves the symbol at the head;
+a cut one (clipped at the sequence's end) may not, but it ends the run. So no
+charge is below a serving strategy's cost, dominance holds for strict VFC
+under both models, and the check covers MTF, TRANS, FC and strict VFC on
+every instance, and literal VFC only on runs whose batches swallowed nothing.
 
 The instances come in lexicographic order, so the one before each instance
 is its parent (the instance one request shorter) or extends it. Rather than

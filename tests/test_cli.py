@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import listlab.oracle
 from listlab import AlgorithmKind, CostModel, derive_list, preprocess, rows_from_csv, rows_to_csv, run_algorithm
 from listlab.cli import DEMO_NAME, DEMO_SEQUENCE, main
 from listlab.report import CSV_HEADER
+from test_oracle import _promote_ignoring_ties
 
 
 def run_cli(argv):
@@ -21,6 +23,66 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# Each run golden's command line, once: tests/data/run_trace_<prefix><policy>.txt
+# holds the output of ``listlab run <argv> --vfc-policy <policy> --trace``.
+# The verify goldens carry their bounds and model in the file name, which is
+# how the CI loop over all of them and ``TestGoldens`` read them.
+RUN_WORKLOADS = {
+    # the demo, and batches of both policies on short runs
+    "": ["--demo", "--generate", "runs:3", "--alphabet-size", "5", "--length", "60"],
+    # literal batches that swallow other symbols, and strict windows rejected after the repeat test
+    "zipf_": ["--generate", "zipf:1.2", "--alphabet-size", "6", "--length", "150", "--seed", "2"],
+    # VFC repeats served after a batch and after a rejected strict window, under the partial model
+    "runs_partial_": ["--generate", "runs:6", "--alphabet-size", "8", "--length", "300", "--seed", "1",
+                      "--cost-model", "partial"],
+}
+RUN_GOLDENS = {
+    f"run_trace_{prefix}{policy}.txt": ["run", *argv, "--vfc-policy", policy]
+    for prefix, argv in RUN_WORKLOADS.items()
+    for policy in ("literal", "strict")
+}
+VERIFY_GOLDEN = re.compile(r"verify_m(\d+)_n(\d+)_(full|partial)\.txt")
+
+
+def golden(name):
+    return (DATA / name).read_bytes().decode("utf-8")
+
+
+class TestGoldens:
+    """The run goldens and the fast verify goldens, each against the CLI."""
+
+    @pytest.mark.parametrize("name", RUN_GOLDENS)
+    def test_traced_run_prints_its_golden(self, name):
+        assert run_cli([*RUN_GOLDENS[name], "--trace"]) == (0, golden(name), "")
+
+    @pytest.mark.parametrize("name", RUN_GOLDENS)
+    def test_untraced_run_prints_its_golden_without_step_lines(self, name):
+        """Served in one kernel call per engine, an untraced run reaches VFC's
+        repeat branch, which the traced runs (one step a call) never take."""
+        lines = golden(name).splitlines(keepends=True)
+        table = "".join(line for line in lines if not line.startswith(("step=", "# trace")))
+        assert run_cli(RUN_GOLDENS[name]) == (0, table, "")
+
+    def test_strict_demo_run_writes_its_csv_and_svg_goldens(self, tmp_path):
+        csv_path, svg_path, redrawn = tmp_path / "a.csv", tmp_path / "a.svg", tmp_path / "b.svg"
+        argv = [*RUN_GOLDENS["run_trace_strict.txt"], "--csv", str(csv_path), "--chart", str(svg_path)]
+        assert run_cli(argv)[0] == 0
+        assert csv_path.read_bytes() == (DATA / "run_report_strict.csv").read_bytes()
+        assert svg_path.read_bytes() == (DATA / "run_report_strict.svg").read_bytes()
+        assert run_cli(["chart", "--from-csv", str(csv_path), "--out", str(redrawn)])[0] == 0
+        assert redrawn.read_bytes() == svg_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name", [f"verify_m{m}_n{n}_{model}.txt" for m, n in ((4, 7), (3, 8)) for model in ("full", "partial")]
+    )
+    def test_verify_prints_its_golden(self, name):
+        m, n, model = VERIFY_GOLDEN.fullmatch(name).groups()
+        argv = ["verify", "--max-list-size", m, "--max-seq-len", n, "--cost-model", model]
+        assert run_cli(argv) == (0, golden(name), "")
 
 
 class TestVerify:
@@ -31,18 +93,44 @@ class TestVerify:
         assert len(passes) == 7
         assert all(line.endswith("(15 instances)") for line in passes)
 
-    def test_runs_as_python_m_listlab(self):
+    def test_violated_property_exits_2(self, monkeypatch):
+        """FC without its tie step fails one check; the report goes to stdout, and stderr says only that it failed."""
+        monkeypatch.setattr(listlab.algorithms, "_promote", _promote_ignoring_ties(listlab.algorithms._promote))
+        code, out, err = run_cli(["verify", "--max-list-size", "3", "--max-seq-len", "3"])
+        assert (code, err) == (2, "verification FAILED\n")
+        lines = out.splitlines()
+        k = lines.index("FAIL fc-matches-reference (40 instances)")
+        assert lines[k + 1] == "  counterexample: order=(1, 2, 3) seq=(1, 3, 1): engine 5 != reference 6"
+        assert sum(line.startswith("PASS ") for line in lines) == 6
+        assert not any(line.startswith("all checks passed") for line in lines)
+
+    @staticmethod
+    def _verify_as_python_m(module):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        argv = [sys.executable, "-m", "listlab", "verify", "--max-list-size", "2", "--max-seq-len", "2"]
+        argv = [sys.executable, "-m", module, "verify", "--max-list-size", "2", "--max-seq-len", "2"]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout
+
+    def test_runs_as_python_m_listlab(self):
+        self._verify_as_python_m("listlab")
+
+    def test_runs_as_python_m_listlab_cli(self):
+        """Through ``cli.py``'s ``__main__`` block; without it the command prints nothing and exits 0."""
+        self._verify_as_python_m("listlab.cli")
 
     def test_bounds_beyond_enumeration_are_a_config_error(self):
         m = listlab.oracle.MAX_ENUM_LIST + 1
         code, _, err = run_cli(["verify", "--max-list-size", str(m)])
         assert code == 1
         assert f"list size {m}" in err
+
+
+def test_help_says_what_listlab_does():
+    code, out, _ = run_cli(["--help"])
+    assert code == 0
+    description = "Compare MTF, TRANS, FC and VFC on request sequences, and verify them on small instances."
+    assert description in " ".join(out.split())  # argparse wraps it to the terminal width
 
 
 class TestInternalError:
