@@ -50,13 +50,29 @@ fire a batch, under either policy:
 
 So a call looks up and tests for a window only a request other than the
 one it served last, and serves a repeat as an FC step at the index j the
-last step left, which ``_promote`` returns when that step moved s. Only a
-call that serves more than one step takes this repeat branch: traced runs,
-runs with snapshots and the verifier's walk go one step a call and never
-do, while untraced runs and the verifier's whole reruns of ``(m,) * k`` do.
+last step left, which ``_promote`` returns when that step moved s; FC's
+loop serves its repeats the same way. Only a call of more than one step
+takes a repeat branch: traced runs, runs with snapshots and the verifier's
+walk go one step a call (through the lookahead loop for VFC) and never do;
+untraced runs and the verifier's whole reruns of ``(m,) * k`` do.
+
+A strict batch leaves FC's state unless it is cut: it fires only when s's
+counter g is below the head's f_head, on B = f_head - g + 1 repeats of s,
+and gives s the counter f_head + 1, above every other, so VFC puts s at the
+head as FC does serving the B requests one by one, and neither moves
+another element. A batch cut at the sequence's end jumps s with a smaller
+counter, which may meet the tie rule differently from FC's climbs: list
+(1,2,3), requests (1,1,1,3,3,3). So a strict call of more than one step
+serves each run before the one holding ``stop - 1`` through FC's loop. At
+the run's first repeat it reads B from the state the first step left:
+``neg[j] - neg[0] + 2`` with s at j > 0, 2 if the step tied the head and
+jumped it, no window otherwise. Once the run reaches B requests, its B - 1
+repeats cost one unit each. Such a run is never cut, and one begun in the
+previous call is shorter than B, by the list above.
 
 One range kernel per engine; VFC's policies share one, built per policy,
-whose batch trigger is its only branch on the policy. A kernel,
+whose batch trigger and strict's hand-off to FC's loop are its only
+branches on the policy. A kernel,
 ``serve(order, neg, sequence, cursor, stop, costs) -> (cursor, total)``,
 works over the order and the negated counters (FC and VFC keep their
 counters there alone until the run ends). It serves every step that starts
@@ -166,28 +182,49 @@ def _trans(order, neg, sequence, cursor, stop, costs):
     return stop, total
 
 
-def _fc(order, neg, sequence, cursor, stop, costs):
-    total = 0
-    try:
-        for request in sequence[cursor:stop]:
-            j = order.index(request)
-            f = 1 - neg[j]
-            if j and neg[j - 1] > -f:
-                _promote(order, neg, j, f)
-            else:
-                neg[j] = -f
-            total += costs[j]
-    except ValueError:
-        raise SymbolNotInList(request, sequence.index(request, cursor)) from None
-    return stop, total
+def _counting(batching: bool) -> Kernel:
+    """FC's range kernel; with ``batching``, strict VFC's over runs another request follows (module docstring)."""
+
+    def serve(order, neg, sequence, cursor, stop, costs):
+        total = 0
+        previous = None  # the request this call served last; a repeat keeps its index j
+        try:
+            for request in sequence[cursor:stop]:
+                if request != previous:
+                    previous = request
+                    j = order.index(request)
+                    head = batching  # True until the run's first repeat reads its window
+                elif head:  # strict VFC settles the run's batch on the request that finds s at f_head
+                    if head is True:  # -f_head, or 0 when the run's first step opened no window
+                        head = neg[0] if j or neg[1:2] == neg[:1] else 0
+                        settled = total + neg[j] - head + 1  # the total after the first step, plus B - 1
+                    if neg[j] == head:  # the B-th request
+                        total, head = settled - costs[j], 0
+                g = neg[j]
+                total += costs[j]
+                if j and neg[j - 1] == g:
+                    j = _promote(order, neg, j, 1 - g)
+                else:
+                    neg[j] = g - 1
+        except ValueError:
+            raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+        return stop, total
+
+    return serve
 
 
 def _vfc(strict: bool) -> Kernel:
     """VFC's range kernel under one batch trigger (see :class:`VfcPolicy`)."""
+    batched = _counting(True)
 
     def serve(order, neg, sequence, cursor, stop, costs):
         n = len(sequence)
         total = 0
+        if strict and stop - cursor > 1:  # FC's loop serves every run but the one that holds stop - 1
+            r = stop - 1
+            while r > cursor and sequence[r - 1] == sequence[stop - 1]:
+                r -= 1
+            cursor, total = batched(order, neg, sequence, cursor, r, costs)
         previous = None  # the request this call served last; a repeat keeps its index j (module docstring)
         try:
             while cursor < stop:
@@ -223,7 +260,7 @@ def _vfc(strict: bool) -> Kernel:
 
 
 _KERNELS: dict[str, Kernel] = {
-    "mtf": _mtf, "trans": _trans, "fc": _fc, "vfc[literal]": _vfc(False), "vfc[strict]": _vfc(True),
+    "mtf": _mtf, "trans": _trans, "fc": _counting(False), "vfc[literal]": _vfc(False), "vfc[strict]": _vfc(True),
 }
 
 

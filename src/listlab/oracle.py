@@ -23,11 +23,12 @@ against an optimum of 7). Strict-policy batches consume only repeats of the
 accessed symbol. Accessing it at p, moving it to the front for free and
 serving the other B - 1 repeats at the head costs p + (B - 1) under the full
 model, the batch's charge, and p - 1 under the partial one, at most the
-batch's (p - 1) + (B - 1). An uncut batch also leaves the symbol at the head;
-a cut one (clipped at the sequence's end) may not, but it ends the run. So no
-charge is below a serving strategy's cost, dominance holds for strict VFC
-under both models, and the check covers MTF, TRANS, FC and strict VFC on
-every instance, and literal VFC only on runs whose batches swallowed nothing.
+batch's (p - 1) + (B - 1). An uncut batch also leaves FC's state, the symbol
+at the head (argued in :mod:`listlab.algorithms`); a cut one (clipped at the
+sequence's end) may not, but it ends the run. So no charge is below a
+serving strategy's cost, dominance holds for strict VFC under both models,
+and the check covers MTF, TRANS, FC and strict VFC on every instance, and
+literal VFC only on runs whose batches swallowed nothing.
 
 The instances come in lexicographic order, so the one before each instance
 is its parent (the instance one request shorter) or extends it. Rather than
@@ -49,8 +50,8 @@ sides of every check, so the per-instance functions stay its oracle: the
 tests compare the two on every instance at small bounds, and on each
 ``(m,) * k``, the last instance of its length and a leaf at ``k = n_max``,
 the walk recomputes both from scratch and runs each configuration whole,
-reaching VFC's repeat branch, which one-step calls never take, at every VFC
-step after the first.
+reaching the repeat branches of FC's loop and of VFC's lookahead loop,
+which one-step calls never take, at every FC and VFC step after the first.
 """
 
 import itertools
@@ -181,16 +182,18 @@ def enumerate_instances(m: int, n_max: int, model: CostModel = CostModel.FULL) -
         raise BoundsExceeded(f"list size {m} not in 1..{MAX_ENUM_LIST}")
     if not 0 <= n_max <= MAX_ENUM_SEQ:
         raise BoundsExceeded(f"sequence bound {n_max} not in 0..{MAX_ENUM_SEQ}")
-    alphabet = tuple(range(1, m + 1))
-    return (SmallInstance(alphabet, seq, model) for seq in _preorder(alphabet, n_max))
+    return _preorder(tuple(range(1, m + 1)), n_max, CostModel(model))
 
 
-def _preorder(alphabet: tuple[Symbol, ...], n_max: int) -> Iterator[tuple[Symbol, ...]]:
-    """The sequences over ``alphabet`` up to length ``n_max``, depth first, in lexicographic order."""
+def _preorder(alphabet: tuple[Symbol, ...], n_max: int, model: CostModel) -> Iterator[SmallInstance]:
+    """The instances over ``alphabet`` up to length ``n_max``, depth first, in lexicographic order.
+    Their bounds and list hold by construction, so they skip ``SmallInstance.__init__``'s checks."""
     stack = [()]
     while stack:
         seq = stack.pop()
-        yield seq
+        instance = SmallInstance.__new__(SmallInstance)
+        vars(instance).update(order=alphabet, sequence=seq, model=model)
+        yield instance
         if len(seq) < n_max:
             stack.extend([seq + (s,) for s in reversed(alphabet)])
 

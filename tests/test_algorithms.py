@@ -13,6 +13,7 @@ from listlab import (
     UnsortedCounters,
     VfcPolicy,
     derive_list,
+    enumerate_instances,
     naive_fc_step_costs,
     preprocess,
     run_algorithm,
@@ -469,9 +470,14 @@ def test_vfc_steps_match_reference(case, policy, model):
 )
 def test_promotion_search_runs_only_on_steps_that_move(case, configuration, model):
     """FC and VFC call ``_promote`` on exactly the steps whose list differs
-    from the list the step found, whether the run is served whole or a step
-    at a time. A call is matched to its step by the counter sum it finds,
-    which grows by each step's consumed requests."""
+    from the list the step found, when the run goes a step at a time, and so
+    do FC and literal VFC served whole. A call is matched to its step by the
+    counter sum it finds, which grows by each step's consumed requests.
+
+    A whole strict run serves every run of requests but its last through
+    FC's loop, so a batch there climbs where a stepped run jumps: below the
+    last run's start r it calls ``_promote`` where FC served whole does, and
+    from r on where the stepped run does."""
     order, freq, seq = case
     kind, policy = configuration
     real = listlab.algorithms._promote
@@ -488,6 +494,8 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
     with mock.patch.object(listlab.algorithms, "_promote", promote):
         run_algorithm(kind, state(order, freq), seq, model, policy, keep_trace=False)
         whole, calls = calls, []
+        run_algorithm(AlgorithmKind.FC, state(order, freq), seq, model, keep_trace=False)
+        fc, calls = calls, []
         report = run_algorithm(kind, state(order, freq), seq, model, policy, snapshots=True)
     moved, before, served = [], order, sum(freq)
     for step in report.steps:
@@ -495,7 +503,15 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
             moved.append(served)
         before, served = step.list_after, served + step.requests_consumed
     assert calls == moved
-    assert whole == moved
+    if policy is STRICT:
+        r = len(seq)  # the start of the last run
+        while r and seq[r - 1] == seq[-1]:
+            r -= 1
+        last = sum(freq) + r
+        assert [c for c in whole if c < last] == [c for c in fc if c < last]
+        assert [c for c in whole if c >= last] == [c for c in moved if c >= last]
+    else:
+        assert whole == moved
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,6 +556,56 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
     assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in stepped.steps] == [
         (r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in traced.steps
     ]
+
+
+def _strict_one_step_calls(sequence, costs):
+    """Strict VFC from the list 1, 2, 3, all counters zero, its kernel called once a step: (total, order, neg)."""
+    serve = listlab.algorithms._KERNELS["vfc[strict]"]
+    order, neg, cursor, total = [1, 2, 3], [0, 0, 0], 0, 0
+    while cursor < len(sequence):
+        cursor, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
+        total += cost
+    return total, order, neg
+
+
+@pytest.mark.parametrize("model", [FULL, PARTIAL])
+def test_strict_kernel_split_anywhere_matches_one_step_calls(model):
+    """On every sequence at (3,7), strict VFC's kernel called over ``[0, a)``
+    and then from the cursor it returns to the end, at every split point a,
+    ends with the total, order and counters of one call a step: the first
+    call serves its runs but the last through FC's loop and settles their
+    batches after the fact, and the second may start inside a run."""
+    serve = listlab.algorithms._KERNELS["vfc[strict]"]
+    costs = listlab.algorithms._access_costs(model, 3)
+    for instance in enumerate_instances(3, 7, model):
+        sequence = instance.sequence
+        expected = _strict_one_step_calls(sequence, costs)
+        for a in range(len(sequence) + 1):
+            order, neg = [1, 2, 3], [0, 0, 0]
+            cursor, first = serve(order, neg, sequence, 0, a, costs)
+            end, second = serve(order, neg, sequence, cursor, len(sequence), costs)
+            assert (end, (first + second, order, neg)) == (len(sequence), expected), (sequence, a)
+
+
+@pytest.mark.parametrize(
+    "sequence,model,total,order,counters,fc",
+    [
+        # the last run's batch is cut at the end: 3 jumps to the head, where FC's climbs stop at index 1
+        ((1, 1, 1, 3, 3, 3), FULL, 8, (3, 1, 2), (3, 3, 0), (10, (1, 3, 2), (3, 3, 0))),
+        # 3 ties the head's counter 1 and jumps it: budget 2, the repeat charged one unit where FC pays 0
+        ((1, 3, 3, 2), PARTIAL, 5, (3, 1, 2), (2, 1, 1), (4, (3, 1, 2), (2, 1, 1))),
+    ],
+    ids=["cut-batch", "head-tie-budget-2"],
+)
+def test_strict_whole_run_batches_as_steps_do(sequence, model, total, order, counters, fc):
+    """A whole strict run, served through FC's loop up to its last run, ends
+    where one call a step does, on a cut batch and on a budget-2 batch."""
+    costs = listlab.algorithms._access_costs(model, 3)
+    assert _strict_one_step_calls(sequence, costs) == (total, list(order), [-c for c in counters])
+    for kind, expected in ((AlgorithmKind.VFC, (total, order, counters)), (AlgorithmKind.FC, fc)):
+        report = run_algorithm(kind, state((1, 2, 3)), sequence, model, STRICT, keep_trace=False)
+        final = report.final_state
+        assert (report.total_cost, tuple(final.order), tuple(final.freq[s] for s in final.order)) == expected
 
 
 class TestUnsortedCounters:

@@ -160,6 +160,17 @@ class TestEnumeration:
         every = (s for k in range(n + 1) for s in product(range(1, m + 1), repeat=k))
         assert [inst.sequence for inst in enumerate_instances(m, n)] == sorted(every)
 
+    @pytest.mark.parametrize("model", list(CostModel))
+    def test_instances_equal_constructed_ones(self, model):
+        """The enumeration skips the constructor's checks, and builds what it
+        builds: the same fields, the model read from its value, the same hash."""
+        every = sorted(s for k in range(5) for s in product((1, 2, 3), repeat=k))
+        built = [SmallInstance([1, 2, 3], list(s), model.value) for s in every]
+        instances = list(enumerate_instances(3, 4, model.value))
+        assert instances == built
+        assert [hash(i) for i in instances] == [hash(i) for i in built]
+        assert all(i.model is model and type(i.order) is type(i.sequence) is tuple for i in instances)
+
     def test_lexicographic_order_puts_each_sequence_after_its_prefixes(self):
         seqs = [inst.sequence for inst in enumerate_instances(2, 2)]
         assert seqs == [(), (1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
