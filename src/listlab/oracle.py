@@ -47,11 +47,15 @@ is the least ``reach[at]`` plus the request's index in order ``at`` and the
 head's cost: every order may leave the requested element in place, so the
 last free exchanges cannot lower it. A slip in the chain would feed both
 sides of every check, so the per-instance functions stay its oracle: the
-tests compare the two on every instance at small bounds, and on each
-``(m,) * k``, the last instance of its length and a leaf at ``k = n_max``,
-the walk recomputes both from scratch and runs each configuration whole,
-reaching the repeat branches of FC's loop and of VFC's lookahead loop,
-which one-step calls never take, at every FC and VFC step after the first.
+tests compare the two on every instance at small bounds. On two instances
+of each length k the walk recomputes both from scratch and runs each
+configuration whole. On ``(m,) * k``, the last instance of its length and a
+leaf at ``k = n_max``, a whole run reaches the repeat branches of FC's loop
+and of VFC's lookahead loop, which one-step calls never take, at every FC
+and VFC step after the first. On ``(m,) * (k - 1) + (1,)``, for k > 1, it
+serves more requests than the list has symbols once k > m, so TRANS and
+FC's loop look symbols up in their map (:mod:`listlab.algorithms`), and its
+last request finds an index that a promotion or a swap rewrote.
 """
 
 import itertools
@@ -277,8 +281,9 @@ def verify_engines(
     another symbol. Online runs are not served again once committed, and a
     leaf's OPT skips its last free exchanges, which may leave the element in
     place. The walk reruns both references, and each configuration whole, on
-    the last instance of each length, and raises ``RuntimeError`` if the
-    chain disagrees with a rerun; ``listlab verify`` reports it as exit 3.
+    the last instance of each length, ``(m,) * k``, and on ``(m,) * (k - 1)
+    + (1,)``, and raises ``RuntimeError`` if the chain disagrees with a
+    rerun; ``listlab verify`` reports it as exit 3.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
@@ -332,6 +337,8 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
     the FC reference's (symbol, counter) entries and total, and OPT's ``reach``."""
     costs = algorithms._access_costs(model, m)
     head = _head_cost(model)
+    # the instances rerun from scratch: see the module docstring
+    reruns = {(m,) * n for n in range(n_max + 1)} | {(m,) * n + (1,) for n in range(1, n_max)}
     chain: list[tuple[list[_State], list[tuple[Symbol, int]], int, dict[int, int]]] = []
     for instance in enumerate_instances(m, n_max, model):
         sequence = instance.sequence
@@ -359,7 +366,7 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
             runs = [(list(instance.order), [0] * m, 0, 0, None, (), False)] * len(RUNS)
             reference = opt = 0
             chain.append((runs, [(s, 0) for s in instance.order], 0, {0: 0}))
-        if sequence == (m,) * n:  # the last instance of its length: see the module docstring
+        if sequence in reruns:
             chained = (reference, opt)
             expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
             if chained != expected:

@@ -8,15 +8,18 @@ from listlab import (
     AlgorithmKind,
     CostModel,
     ListState,
+    RunLengths,
     SmallInstance,
     SymbolNotInList,
     UnsortedCounters,
     VfcPolicy,
     derive_list,
     enumerate_instances,
+    generate_sequence,
     naive_fc_step_costs,
     preprocess,
     run_algorithm,
+    Zipf,
 )
 from listlab.oracle import MAX_ENUM_SEQ
 
@@ -556,6 +559,28 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
     assert [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in stepped.steps] == [
         (r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in traced.steps
     ]
+
+
+@pytest.mark.parametrize("model", [FULL, PARTIAL])
+@pytest.mark.parametrize("distribution", [Zipf(1.0), RunLengths(4.0)], ids=["zipf", "runs"])
+@pytest.mark.parametrize("label", ["trans", "fc", "vfc[strict]"])
+def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution, model):
+    """On a 64-symbol list, one kernel call over the whole sequence, which
+    looks symbols up in a map, and one call a step, which scans the list,
+    charge the same total and leave the same order and counters. The
+    property-based tests' lists hold at most five symbols."""
+    alphabet = list(range(64))
+    sequence = generate_sequence(alphabet, 3000, distribution, seed=3)
+    serve = listlab.algorithms._KERNELS[label]
+    costs = listlab.algorithms._access_costs(model, len(alphabet))
+    runs = []
+    for step in (len(sequence), 1):
+        order, neg, cursor, total = alphabet[:], [0] * len(alphabet), 0, 0
+        while cursor < len(sequence):
+            cursor, cost = serve(order, neg, sequence, cursor, cursor + step, costs)
+            total += cost
+        runs.append((total, order, neg))
+    assert runs[0] == runs[1]
 
 
 def _strict_one_step_calls(sequence, costs):
