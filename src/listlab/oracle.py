@@ -47,13 +47,13 @@ is the least ``reach[at]`` plus the request's index in order ``at`` and the
 head's cost: every order may leave the requested element in place, so the
 last free exchanges cannot lower it. A slip in the chain would feed both
 sides of every check, so the per-instance functions stay its oracle: the
-tests compare the two on every instance at small bounds. On two instances
-of each length k the walk recomputes both from scratch and runs each
-configuration whole. On ``(m,) * k``, the last instance of its length and a
-leaf at ``k = n_max``, a whole run reaches the repeat branches of FC's loop
-and of VFC's lookahead loop, which one-step calls never take, at every FC
-and VFC step after the first. On ``(m,) * (k - 1) + (1,)``, for k > 1, it
-serves more requests than the list has symbols once k > m, so TRANS and
+tests compare the two on every instance at small bounds. On ``(m,) * k``,
+and on ``(m,) * (k - 1) + (1,)`` for k > 1, the walk recomputes both from
+scratch and runs each configuration whole. On ``(m,) * k``, the last
+instance of its length and a leaf at ``k = n_max``, a whole run reaches the
+repeat branches of FC's loop and of VFC's lookahead loop, which one-step
+calls never take, at every FC and VFC step after the first. On the other,
+once k > m, it serves more requests than the list has symbols, so TRANS and
 FC's loop look symbols up in their map (:mod:`listlab.algorithms`), and its
 last request finds an index that a promotion or a swap rewrote.
 """

@@ -13,13 +13,13 @@ from listlab import (
     SymbolNotInList,
     UnsortedCounters,
     VfcPolicy,
+    Zipf,
     derive_list,
     enumerate_instances,
     generate_sequence,
     naive_fc_step_costs,
     preprocess,
     run_algorithm,
-    Zipf,
 )
 from listlab.oracle import MAX_ENUM_SEQ
 
