@@ -71,18 +71,24 @@ repeats cost one unit each. Such a run is never cut, and one begun in the
 previous call is shorter than B, by the list above.
 
 A call finds a request's index j by scanning the order, unless it serves
-more requests than the list has symbols: then TRANS and FC's loop (so FC,
+more requests than the list has symbols. Then TRANS and FC's loop (so FC,
 and strict VFC's hand-off to it) build a map from symbol to index once, m
 dict stores, and read j from it; a symbol the map lacks raises
 ``SymbolNotInList`` as a failed scan does. TRANS rewrites the two entries it
 swaps. FC's loop rewrites those of ``order[c:j + 1]`` after ``_promote``
 moves the element from j to c; on the surrogate corpus such a block holds
-2.9 symbols on average, and only 3% of steps move. One-step calls (traced
-runs, runs with snapshots and the verifier's walk) make one lookup, so they
-scan rather than pay the m stores. MTF and VFC's lookahead loop always
-scan: MTF's move to the head shifts every symbol before it, a literal VFC
-promotion's block holds 13.8 symbols on average on the corpus, and
-rewriting their entries costs more than the scan it saves.
+2.9 symbols on average, and only 3% of steps move. MTF's move to the head
+shifts every symbol before it, too many to rewrite, so such an MTF call
+packs the order into a ``bytearray`` when every symbol is in 0..255 and
+writes it back at the end: ``index`` is a memchr, and a move shifts bytes.
+TRANS and FC are slower packed than mapped. A packed ``index`` costs more
+than the list's at the head, where MTF left the request it served last, so
+a repeat (87.6% of the bursty workload's requests, 8.2% of the corpus's)
+costs ``costs[0]`` with no lookup. One-step calls (traced runs, runs with
+snapshots and the verifier's walk) make one lookup, so they scan rather
+than pay the m stores or the packing. VFC's lookahead loop always scans: a
+literal VFC promotion's block holds 13.8 symbols on average on the corpus,
+and rewriting their entries costs more than the scan it saves.
 
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger and strict's hand-off to FC's loop are its only
@@ -174,14 +180,28 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:
 
 def _mtf(order, neg, sequence, cursor, stop, costs):
     total = 0
+    packed = order
+    if stop - cursor > len(order):  # pack the list (module docstring)
+        try:
+            packed = bytearray(order)
+        except ValueError:  # a symbol outside 0..255
+            pass
+    previous = None  # the request this call served last, now at the head
     try:
         for request in sequence[cursor:stop]:
-            j = order.index(request)
+            if request == previous:
+                total += costs[0]
+                continue
+            previous = request
+            j = packed.index(request)
             if j:
-                order.insert(0, order.pop(j))
+                packed.insert(0, packed.pop(j))
             total += costs[j]
     except ValueError:  # every earlier request was served, so this is its first occurrence
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+    finally:
+        if packed is not order:
+            order[:] = packed
     return stop, total
 
 
@@ -270,11 +290,8 @@ def _vfc(strict: bool) -> Kernel:
                     if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
                         end = min(cursor - neg[0] + neg[j] + 1, n)
                         if not strict:
-                            try:  # bytes, list and tuple all expose bounded index()
-                                sequence.index(request, cursor + 1, end)  # type: ignore[attr-defined]
+                            if request in sequence[cursor + 1:end]:
                                 consumed = end - cursor
-                            except ValueError:
-                                pass
                         elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
                             consumed = end - cursor
                 f = consumed - neg[j]

@@ -68,11 +68,17 @@ def derive_list(
     sequence: RequestSequence,
     policy: ListOrderPolicy = ListOrderPolicy.FIRST_OCCURRENCE,
 ) -> ListState:
-    """List of the sequence's distinct symbols, all counters zero."""
+    """List of the sequence's distinct symbols, all counters zero.
+
+    A byte sequence sorts them by first ``index``, at most 256 memchr scans;
+    on another sequence, with no bound on its symbols, that is quadratic."""
     if len(sequence) == 0:
         raise EmptySequence("cannot derive a list from an empty sequence")
     if policy is ListOrderPolicy.FIRST_OCCURRENCE:
-        distinct = list(dict.fromkeys(sequence))
+        if isinstance(sequence, (bytes, bytearray)):
+            distinct = sorted(set(sequence), key=sequence.index)
+        else:
+            distinct = list(dict.fromkeys(sequence))
     else:
         distinct = sorted(set(sequence))
     return ListState.from_order(distinct)

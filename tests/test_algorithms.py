@@ -263,6 +263,14 @@ class TestRunAlgorithm:
         assert exc.value.request_index == 2
         assert exc.value.symbol == 9
 
+    @pytest.mark.parametrize("absent", [300, -1])
+    def test_packed_mtf_call_raises_for_a_symbol_no_byte_holds(self, absent):
+        # a whole call on (1, 2) packs the list into bytes, which cannot hold 300 or -1
+        sequence = (1, 2, 2, 1, absent, 1, absent)
+        with pytest.raises(SymbolNotInList) as exc:
+            run_algorithm(AlgorithmKind.MTF, state([1, 2]), sequence, FULL, keep_trace=False)
+        assert (exc.value.symbol, exc.value.request_index) == (absent, 4)
+
     def test_vfc_absent_request_carries_index(self):
         with pytest.raises(SymbolNotInList) as exc:
             run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 7), FULL, keep_trace=False)
@@ -561,15 +569,18 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
     ]
 
 
+@pytest.mark.parametrize("first", [0, 200], ids=["bytes", "wide"])
 @pytest.mark.parametrize("model", [FULL, PARTIAL])
 @pytest.mark.parametrize("distribution", [Zipf(1.0), RunLengths(4.0)], ids=["zipf", "runs"])
-@pytest.mark.parametrize("label", ["trans", "fc", "vfc[strict]"])
-def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution, model):
+@pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[strict]"])
+def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution, model, first):
     """On a 64-symbol list, one kernel call over the whole sequence, which
-    looks symbols up in a map, and one call a step, which scans the list,
-    charge the same total and leave the same order and counters. The
-    property-based tests' lists hold at most five symbols."""
-    alphabet = list(range(64))
+    looks symbols up in a map (TRANS, FC's loop) or in the list packed into
+    bytes (MTF), and one call a step, which scans the list, charge the same
+    total and leave the same order and counters. The symbols from 200 on
+    run past 255, so a whole MTF call cannot pack them and scans the list.
+    The property-based tests' lists hold at most five symbols."""
+    alphabet = list(range(first, first + 64))
     sequence = generate_sequence(alphabet, 3000, distribution, seed=3)
     serve = listlab.algorithms._KERNELS[label]
     costs = listlab.algorithms._access_costs(model, len(alphabet))
