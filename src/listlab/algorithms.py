@@ -54,7 +54,7 @@ last step left, which ``_promote`` returns when that step moved s; FC's
 loop serves its repeats the same way. Only a call of more than one step
 takes a repeat branch: traced runs, runs with snapshots and the verifier's
 walk go one step a call (through the lookahead loop for VFC) and never do;
-untraced runs and the verifier's whole reruns of ``(m,) * k`` do.
+untraced runs and the verifier's whole reruns (:mod:`listlab.oracle`) do.
 
 A strict batch leaves FC's state unless it is cut: it fires only when s's
 counter g is below the head's f_head, on B = f_head - g + 1 repeats of s,

@@ -1,10 +1,11 @@
 """Reference implementations for validating the engines on small instances.
 
-``naive_fc_step_costs`` re-implements the frequency-count service loop
-directly over (symbol, counter) pairs; it shares no state or helpers with
-the engine it cross-checks. ``opt_free_exchange_cost`` is the offline
-optimum restricted to free exchanges (after each access the accessed element
-may move closer to the front at zero cost), computed by the forward dynamic
+``naive_fc_step_costs`` and ``naive_vfc_steps`` re-implement the
+frequency-count and VFC service loops directly over (symbol, counter) pairs,
+one ``_fc_step`` a step; they share no state or helpers with the engines
+they cross-check. ``opt_free_exchange_cost`` is the offline optimum
+restricted to free exchanges (after each access the accessed element may
+move closer to the front at zero cost), computed by the forward dynamic
 program of Reingold & Westbrook (IPL 1996) over the list orders, each order
 a row of a transition table cached per starting list. The unrestricted
 optimum could also use paid exchanges and is never larger, so the value
@@ -47,15 +48,21 @@ is the least ``reach[at]`` plus the request's index in order ``at`` and the
 head's cost: every order may leave the requested element in place, so the
 last free exchanges cannot lower it. A slip in the chain would feed both
 sides of every check, so the per-instance functions stay its oracle: the
-tests compare the two on every instance at small bounds. On ``(m,) * k``,
-and on ``(m,) * (k - 1) + (1,)`` for k > 1, the walk recomputes both from
-scratch and runs each configuration whole. On ``(m,) * k``, the last
-instance of its length and a leaf at ``k = n_max``, a whole run reaches the
-repeat branches of FC's loop and of VFC's lookahead loop, which one-step
-calls never take, at every FC and VFC step after the first. On the other,
-once k > m, it serves more requests than the list has symbols, so TRANS and
-FC's loop look symbols up in their map (:mod:`listlab.algorithms`), and its
-last request finds an index that a promotion or a swap rewrote.
+tests compare the two on every instance at small bounds.
+
+On three families the walk recomputes both references from scratch, and
+when the instance passes every check (a fault a check sees is reported as
+its counterexample) it runs each configuration whole and VFC's reference
+too; only there is a VFC charge bounded from above. On ``(m,) * k``, the
+last instance of its length and a leaf at ``k = n_max``, a whole run
+reaches the repeat branches of FC's loop and of VFC's lookahead loop, which
+one-step calls never take, at every FC and VFC step after the first. On
+``(m,) * (k - 1) + (1,)``, once k > m, it serves more requests than the
+list has symbols, so TRANS and FC's loop look symbols up in their map
+(:mod:`listlab.algorithms`), and its last request finds an index that a
+promotion or a swap rewrote. Neither batches, but
+``(1,) + (2,) * (k - 2) + (1,)`` for k >= 4 does: both policies batch its
+first two 2s, and a whole strict run settles that batch in FC's loop.
 """
 
 import itertools
@@ -76,6 +83,8 @@ MAX_ENUM_SEQ = 9
 FAILURE_LIMIT = 5
 # the free exchanges from every order of one list, built by _exchanges
 _Table = Mapping[Symbol, tuple[tuple[int, tuple[int, ...]], ...]]
+# a VFC step: (request, position_before, cost_charged, requests_consumed)
+_Step = tuple[Symbol, int, int, int]
 
 
 class BoundsExceeded(ListLabError):
@@ -132,20 +141,47 @@ def _head_cost(model: CostModel) -> int:
     return 1 if model is CostModel.FULL else 0
 
 
-def _fc_step(entries: list[tuple[Symbol, int]], request: Symbol, index: int, head: int) -> int:
-    """Serve ``request``, the one at ``index``, on the (symbol, counter)
-    ``entries`` in place by the direct rule; return its cost."""
+def naive_vfc_steps(order: tuple[Symbol, ...], freq: list[int], sequence: RequestSequence, model: CostModel,
+                    policy: VfcPolicy) -> list[_Step]:
+    """VFC's steps from ``order`` with the counters ``freq``, served by the direct rule (see ``_vfc_steps``)."""
+    return _vfc_steps(list(zip(order, freq)), sequence, _head_cost(CostModel(model)), VfcPolicy(policy))
+
+
+def _vfc_steps(entries: list[tuple[Symbol, int]], sequence: RequestSequence, head: int,
+               policy: VfcPolicy) -> list[_Step]:
+    """Serve ``sequence`` on ``entries`` in place, one ``_fc_step`` a step, by
+    the :mod:`listlab.algorithms` rule: below the head's counter, the request's
+    counter g opens a window of the ``f_head - g`` requests after it, clipped
+    at the end; LITERAL fires when the request is in it, STRICT when it is
+    non-empty and holds the request alone, and the step consumes it too."""
+    steps, cursor = [], 0
+    while cursor < len(sequence):
+        request = sequence[cursor]
+        g = dict(entries).get(request)  # an absent request opens no window, and _fc_step raises
+        window = () if g is None else sequence[cursor + 1 : cursor + 1 + entries[0][1] - g]
+        fires = request in window if policy is VfcPolicy.LITERAL else set(window) == {request}
+        block = 1 + len(window) if fires else 1
+        cost = _fc_step(entries, request, cursor, head, block)
+        steps.append((request, cost - head - block + 2, cost, block))  # charged k + head + block - 1 at index k
+        cursor += block
+    return steps
+
+
+def _fc_step(entries: list[tuple[Symbol, int]], request: Symbol, index: int, head: int, block: int = 1) -> int:
+    """Serve ``request``, the one at ``index``, and the ``block - 1`` requests
+    consumed with it on the (symbol, counter) ``entries`` in place by the
+    direct rule; return the charge, the access cost plus ``block - 1``."""
     k = next((i for i, e in enumerate(entries) if e[0] == request), None)
     if k is None:
         raise SymbolNotInList(request, index)
-    f = entries[k][1] + 1
+    f = entries[k][1] + block
     entries[k] = (request, f)
     for i in range(k):
         # entries[i + 1] may be the accessed entry itself, counter updated
         if f > entries[i][1] or (f == entries[i][1] and f > entries[i + 1][1]):
             entries.insert(i, entries.pop(k))
             break
-    return k + head
+    return k + head + block - 1
 
 
 def _opt_step(reach: dict[int, int], table: _Table, request: Symbol, index: int, head: int) -> dict[int, int]:
@@ -280,10 +316,12 @@ def verify_engines(
     batch that left another head, and whether a batch swallowed a request for
     another symbol. Online runs are not served again once committed, and a
     leaf's OPT skips its last free exchanges, which may leave the element in
-    place. The walk reruns both references, and each configuration whole, on
-    the last instance of each length, ``(m,) * k``, and on ``(m,) * (k - 1)
-    + (1,)``, and raises ``RuntimeError`` if the chain disagrees with a
-    rerun; ``listlab verify`` reports it as exit 3.
+    place. The walk reruns both references, and on an instance that passes
+    every check each configuration whole and ``naive_vfc_steps``'s loop for
+    VFC, on ``(m,) * k`` (repeat branches), ``(m,) * (k - 1) + (1,)``
+    (symbol maps) and ``(1,) + (2,) * (k - 2) + (1,)`` (batches), and raises
+    ``RuntimeError`` if the chain disagrees with a rerun or VFC with its
+    reference; ``listlab verify`` reports it as exit 3.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
@@ -338,7 +376,8 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
     costs = algorithms._access_costs(model, m)
     head = _head_cost(model)
     # the instances rerun from scratch: see the module docstring
-    reruns = {(m,) * n for n in range(n_max + 1)} | {(m,) * n + (1,) for n in range(1, n_max)}
+    reruns = ({(m,) * n for n in range(n_max + 1)} | {(m,) * n + (1,) for n in range(1, n_max)}
+              | {(1,) + (2,) * n + (1,) for n in range(2, n_max - 1)})
     chain: list[tuple[list[_State], list[tuple[Symbol, int]], int, dict[int, int]]] = []
     for instance in enumerate_instances(m, n_max, model):
         sequence = instance.sequence
@@ -372,12 +411,21 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
             if chained != expected:
                 raise RuntimeError(f"{instance}: the prefix chain gives (reference, opt) {chained}, "
                                    f"a pass from scratch {expected}")
+        # the engines' reruns look for faults no check sees: one that a check sees here is its counterexample
+        if sequence in reruns and not any(_failures(instance, runs, reference, opt)):
             for (kind, policy), (label, *_), (order, neg, _, total, *_) in zip(RUNS, _CONFIGS, runs):
                 whole = run_algorithm(kind, instance.to_state(), sequence, model, policy, keep_trace=False)
                 walked = ListState(order, dict(zip(order, [-c for c in neg])))
                 if (total, walked) != (whole.total_cost, whole.final_state):
                     raise RuntimeError(f"{instance}: {label} walks to total {total}, {walked}; "
                                        f"a whole run to total {whole.total_cost}, {whole.final_state}")
+                if kind is AlgorithmKind.VFC:
+                    entries = [(s, 0) for s in instance.order]
+                    cost = sum(step[2] for step in _vfc_steps(entries, sequence, head, policy))
+                    final = ListState([s for s, _ in entries], dict(entries))
+                    if (cost, final) != (total, walked):
+                        raise RuntimeError(f"{instance}: {label} runs to total {total}, {walked}; "
+                                           f"the VFC reference to total {cost}, {final}")
         yield instance, runs, reference, opt
 
 

@@ -21,7 +21,7 @@ from listlab import (
     preprocess,
     run_algorithm,
 )
-from listlab.oracle import MAX_ENUM_SEQ
+from listlab.oracle import MAX_ENUM_SEQ, naive_vfc_steps
 
 from _textgen import surrogate_corpus
 
@@ -424,41 +424,6 @@ def counted_or_run_heavy(max_n=12):
     return st.one_of(counted_instance(max_n=max_n), run_heavy_instance())
 
 
-def naive_vfc_steps(order, freq, sequence, model, policy):
-    """VFC's ``(request, position_before, cost_charged, requests_consumed)``
-    per step, by the rule in the ``algorithms`` docstring applied directly
-    over ``(symbol, counter)`` entries: below the head's counter f_head, the
-    request's counter g opens a window of the ``f_head - g`` requests after
-    it; if the trigger fires, the request and its window (clipped at the end)
-    are consumed as one block of B requests, charged the access cost plus
-    B - 1, and g grows by B before the one FC reorganization."""
-    entries = [[s, f] for s, f in zip(order, freq)]
-    steps = []
-    cursor = 0
-    while cursor < len(sequence):
-        request = sequence[cursor]
-        k = [e[0] for e in entries].index(request)
-        g, head = entries[k][1], entries[0][1]
-        block = 1
-        if g < head:
-            window = sequence[cursor + 1 : cursor + 1 + head - g]
-            if policy is LITERAL:
-                fires = request in window
-            else:
-                fires = len(window) > 0 and all(r == request for r in window)
-            if fires:
-                block = 1 + len(window)
-        steps.append((request, k + 1, (k + 1 if model is FULL else k) + block - 1, block))
-        entries[k][1] = f = g + block
-        for i in range(k):
-            # entries[i + 1] may be the accessed entry itself, counter updated
-            if f > entries[i][1] or (f == entries[i][1] and f > entries[i + 1][1]):
-                entries.insert(i, entries.pop(k))
-                break
-        cursor += block
-    return steps
-
-
 @settings(max_examples=500, deadline=None)
 @given(counted_or_run_heavy(), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
 def test_vfc_steps_match_reference(case, policy, model):
@@ -687,6 +652,9 @@ def oracle_instance(draw):
 def test_fc_step_costs_match_reference(inst):
     report = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, inst.model)
     assert step_costs(report) == naive_fc_step_costs(inst)
+    # served whole, so a repeat takes the kernel's repeat branch
+    whole = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, inst.model, keep_trace=False)
+    assert whole.total_cost == sum(step_costs(report))
 
 
 # Totals of every engine configuration over the surrogate corpus texts

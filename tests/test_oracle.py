@@ -1,5 +1,6 @@
 from bisect import bisect_right
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -477,6 +478,27 @@ def test_prefix_walk_refuses_a_whole_run_that_disagrees_with_the_walk(monkeypatc
         verify_engines(2, 3)
 
 
+def test_prefix_walk_reruns_three_families_whole():
+    """At (4,6) the walk runs whole ``(4,) * k``, ``(4,) * (k - 1) + (1,)`` and, from k = 4,
+    ``(1,) + (2,) * (k - 2) + (1,)``, whose first two 2s batch and whose whole strict run
+    hands that batch to FC's loop."""
+    with mock.patch.object(listlab.oracle, "run_algorithm", wraps=listlab.oracle.run_algorithm) as run:
+        assert verify_engines(4, 6).passed
+    rerun = {call.args[2] for call in run.call_args_list}
+    assert rerun == {(4,) * k for k in range(7)} | {(4,) * k + (1,) for k in range(1, 6)} | {
+        (1, 2, 2, 1), (1, 2, 2, 2, 1), (1, 2, 2, 2, 2, 1)}
+
+
+@pytest.mark.parametrize("model", list(CostModel))
+def test_prefix_walk_refuses_a_vfc_run_that_disagrees_with_the_reference(monkeypatch, model):
+    """The VFC reference serves each step through ``_fc_step``, as the FC reference does; one unit
+    more on its batched steps alone stops the walk at the first rerun that batches."""
+    real = listlab.oracle._fc_step
+    monkeypatch.setattr(listlab.oracle, "_fc_step", lambda e, r, i, h, block=1: real(e, r, i, h, block) + (block > 1))
+    with pytest.raises(RuntimeError, match=r"sequence=\(1, 2, 2, 1\).*: vfc\[literal\] .* the VFC reference"):
+        verify_engines(4, 6, model)
+
+
 class TestLiteralBatchUndercut:
     """A literal-policy batch swallows foreign requests at one unit each, so
     it can land below the optimum of any strategy that serves every request.
@@ -521,13 +543,6 @@ def random_instance(draw):
     n = draw(st.integers(min_value=0, max_value=7))
     seq = tuple(draw(st.lists(st.sampled_from(order), min_size=n, max_size=n)))
     return SmallInstance(order, seq)
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_instance())
-def test_fc_engine_matches_reference_on_random_instances(inst):
-    engine = run_algorithm(AlgorithmKind.FC, inst.to_state(), inst.sequence, FULL, keep_trace=False)
-    assert engine.total_cost == naive_fc_cost(inst)
 
 
 @settings(max_examples=150, deadline=None)
