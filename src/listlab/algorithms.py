@@ -72,23 +72,31 @@ previous call is shorter than B, by the list above.
 
 A call finds a request's index j by scanning the order, unless it serves
 more requests than the list has symbols. Then TRANS and FC's loop (so FC,
-and strict VFC's hand-off to it) build a map from symbol to index once, m
-dict stores, and read j from it; a symbol the map lacks raises
-``SymbolNotInList`` as a failed scan does. TRANS rewrites the two entries it
-swaps. FC's loop rewrites those of ``order[c:j + 1]`` after ``_promote``
-moves the element from j to c; on the surrogate corpus such a block holds
-2.9 symbols on average, and only 3% of steps move. MTF's move to the head
-shifts every symbol before it, too many to rewrite, so such an MTF call
-packs the order into a ``bytearray`` when every symbol is in 0..255 and
-writes it back at the end: ``index`` is a memchr, and a move shifts bytes.
-TRANS and FC are slower packed than mapped. A packed ``index`` costs more
-than the list's at the head, where MTF left the request it served last, so
-a repeat (87.6% of the bursty workload's requests, 8.2% of the corpus's)
-costs ``costs[0]`` with no lookup. One-step calls (traced runs, runs with
-snapshots and the verifier's walk) make one lookup, so they scan rather
-than pay the m stores or the packing. VFC's lookahead loop always scans: a
-literal VFC promotion's block holds 13.8 symbols on average on the corpus,
-and rewriting their entries costs more than the scan it saves.
+and strict VFC's hand-off to it) index the list once and read j there: from
+a 256-slot list (``None`` where no symbol sits) when the requests are
+``bytes`` or a ``bytearray``, as every corpus file is after ``preprocess``,
+and every symbol is an int in 0..255; from a dict otherwise. The guard is on
+the requests' type because a list read at a negative int wraps around:
+request -1 on a list holding 255 would be served as 255, and the symbols
+must fit a slot too, as a move rewrites theirs. An unlisted byte reads
+``None``, which raises TypeError as an index, and the dict raises KeyError;
+both raise ``SymbolNotInList`` as a failed scan does. On the surrogate
+corpus the slot list cuts whole TRANS calls by a quarter and FC's and strict
+VFC's by 7-9% against the dict. TRANS rewrites the two entries it swaps, and
+FC's loop those of ``order[c:j + 1]`` after ``_promote`` moves the element
+from j to c; on the surrogate corpus such a block holds 2.9 symbols on
+average, and only 3% of steps move. MTF's move to the head shifts every
+symbol before it, too many to rewrite, so such an MTF call packs the order
+into a ``bytearray`` when every symbol is in 0..255 and writes it back at
+the end: ``index`` is a memchr, and a move shifts bytes. TRANS and FC are
+slower packed than indexed. A packed ``index`` costs more than the list's at
+the head, where MTF left the request it served last, so a repeat (87.6% of
+the bursty workload's requests, 8.2% of the corpus's) costs ``costs[0]``
+with no lookup. One-step calls (traced runs, runs with snapshots and the
+verifier's walk) make one lookup, so they scan rather than pay for the index
+or the packing. VFC's lookahead loop always scans: a literal VFC promotion's
+block holds 13.8 symbols on average on the corpus, and rewriting their
+entries costs more than the scan it saves.
 
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger and strict's hand-off to FC's loop are its only
@@ -178,6 +186,14 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:
     return c
 
 
+def _index(order: list[Symbol], sequence: RequestSequence) -> list | dict:
+    """Each symbol's index in ``order``, in a dict or a 256-slot list (module docstring)."""
+    pos = {s: i for i, s in enumerate(order)}
+    if isinstance(sequence, (bytes, bytearray)) and all(type(s) is int and 0 <= s <= 255 for s in order):
+        return [pos.get(b) for b in range(256)]
+    return pos
+
+
 def _mtf(order, neg, sequence, cursor, stop, costs):
     total = 0
     packed = order
@@ -209,7 +225,7 @@ def _trans(order, neg, sequence, cursor, stop, costs):
     total = 0
     try:
         if stop - cursor > len(order):  # index the list (module docstring)
-            pos = {s: i for i, s in enumerate(order)}
+            pos = _index(order, sequence)
             for request in sequence[cursor:stop]:
                 j = pos[request]
                 if j:
@@ -223,7 +239,7 @@ def _trans(order, neg, sequence, cursor, stop, costs):
                 if j:
                     order[j - 1], order[j] = order[j], order[j - 1]
                 total += costs[j]
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):  # TypeError: an unlisted byte reads None
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
     return stop, total
 
@@ -234,7 +250,7 @@ def _counting(batching: bool) -> Kernel:
     def serve(order, neg, sequence, cursor, stop, costs):
         total = 0
         # index the list (module docstring)
-        pos = {s: i for i, s in enumerate(order)} if stop - cursor > len(order) else None
+        pos = _index(order, sequence) if stop - cursor > len(order) else None
         previous = None  # the request this call served last; a repeat keeps its index j
         try:
             for request in sequence[cursor:stop]:
@@ -258,7 +274,7 @@ def _counting(batching: bool) -> Kernel:
                     j = c
                 else:
                     neg[j] = g - 1
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):  # TypeError: an unlisted byte reads None
             raise SymbolNotInList(request, sequence.index(request, cursor)) from None
         return stop, total
 

@@ -540,23 +540,50 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
 @pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[strict]"])
 def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution, model, first):
     """On a 64-symbol list, one kernel call over the whole sequence, which
-    looks symbols up in a map (TRANS, FC's loop) or in the list packed into
+    looks symbols up by index (TRANS, FC's loop) or in the list packed into
     bytes (MTF), and one call a step, which scans the list, charge the same
-    total and leave the same order and counters. The symbols from 200 on
-    run past 255, so a whole MTF call cannot pack them and scans the list.
-    The property-based tests' lists hold at most five symbols."""
+    total and leave the same order and counters. The index is a dict on a
+    Python list of requests and a 256-slot list on the same requests as
+    ``bytes``. The symbols from 200 on run past 255, so they cannot be
+    bytes, and a whole MTF call cannot pack them and scans the list. The
+    property-based tests' lists hold at most five symbols."""
     alphabet = list(range(first, first + 64))
     sequence = generate_sequence(alphabet, 3000, distribution, seed=3)
     serve = listlab.algorithms._KERNELS[label]
     costs = listlab.algorithms._access_costs(model, len(alphabet))
+    calls = [(sequence, 1), (sequence, len(sequence))] + ([(bytes(sequence), len(sequence))] if first == 0 else [])
     runs = []
-    for step in (len(sequence), 1):
+    for requests, step in calls:
         order, neg, cursor, total = alphabet[:], [0] * len(alphabet), 0, 0
-        while cursor < len(sequence):
-            cursor, cost = serve(order, neg, sequence, cursor, cursor + step, costs)
+        while cursor < len(requests):
+            cursor, cost = serve(order, neg, requests, cursor, cursor + step, costs)
             total += cost
         runs.append((total, order, neg))
-    assert runs[0] == runs[1]
+    assert runs[1:] == runs[:1] * (len(runs) - 1)
+
+
+@pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"])
+@pytest.mark.parametrize(
+    "order,sequence,absent",
+    [
+        ((1, 2), bytes((1, 2, 2, 1, 9, 1, 9)), (9, 4)),
+        ((1, 2), bytearray((1, 2, 2, 1, 9, 1, 9)), (9, 4)),
+        # a list indexed by -1 would read the last slot, 255's; tuples are looked up in a dict
+        ((0, 255), (0, 255, 0, -1), (-1, 3)),
+        ((0, 255), (0, 255, 256), (256, 2)),
+        ((-1, 1), bytes((1, 1, 255)), (255, 2)),  # and -1, swapped back, would rewrite 255's slot
+    ],
+    ids=["bytes", "bytearray", "minus-one", "past-255", "listed-minus-one"],
+)
+def test_whole_call_raises_for_the_first_unlisted_request(label, order, sequence, absent):
+    """A whole call, which looks requests up by index, raises
+    ``SymbolNotInList`` naming the first unlisted request and its index: an
+    unlisted byte finds no index, and no request outside 0..255 is served
+    as the symbol whose slot it would wrap around to."""
+    serve = listlab.algorithms._KERNELS[label]
+    with pytest.raises(SymbolNotInList) as exc:
+        serve(list(order), [0] * len(order), sequence, 0, len(sequence), listlab.algorithms._access_costs(FULL, 2))
+    assert (exc.value.symbol, exc.value.request_index) == absent
 
 
 def _strict_one_step_calls(sequence, costs):
