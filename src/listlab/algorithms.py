@@ -48,13 +48,12 @@ fire a batch, under either policy:
   stays where it is as s climbs by one a step, so the window still holds
   the request that is not s, unless s reaches the head.
 
-So a call looks up and tests for a window only a request other than the
-one it served last, and serves a repeat as an FC step at the index j the
-last step left, which ``_promote`` returns when that step moved s; FC's
-loop serves its repeats the same way. Only a call of more than one step
-takes a repeat branch: traced runs, runs with snapshots and the verifier's
-walk go one step a call (through the lookahead loop for VFC) and never do;
-untraced runs and the verifier's whole reruns (:mod:`listlab.oracle`) do.
+FC's loop serves a repeat of the request it served last at the index j the
+last step left (``_promote`` returns it), with no lookup; only calls of more
+than one step (untraced runs, the verifier's whole reruns) take it. VFC's
+lookahead loop looks up and tests every request: in a whole call a repeat
+finds s at the head, by the list above, as a whole strict call serves there
+only its last run, which rejects no window.
 
 A strict batch leaves FC's state unless it is cut: it fires only when s's
 counter g is below the head's f_head, on B = f_head - g + 1 repeats of s,
@@ -210,8 +209,7 @@ def _mtf(order, neg, sequence, cursor, stop, costs):
                 continue
             previous = request
             j = packed.index(request)
-            if j:
-                packed.insert(0, packed.pop(j))
+            packed.insert(0, packed.pop(j))  # j is 0 only on a call's first request
             total += costs[j]
     except ValueError:  # every earlier request was served, so this is its first occurrence
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
@@ -293,28 +291,25 @@ def _vfc(strict: bool) -> Kernel:
             while r > cursor and sequence[r - 1] == sequence[stop - 1]:
                 r -= 1
             cursor, total = batched(order, neg, sequence, cursor, r, costs)
-        previous = None  # the request this call served last; a repeat keeps its index j (module docstring)
         try:
             while cursor < stop:
                 request = sequence[cursor]
                 consumed = 1
-                if request != previous:
-                    previous = request
-                    j = order.index(request)
-                    # a window opens when the head's counter is above the request's; a homogeneous
-                    # one starts and ends with a repeat, so strict tests both before slicing it
-                    if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
-                        end = min(cursor - neg[0] + neg[j] + 1, n)
-                        if not strict:
-                            if request in sequence[cursor + 1:end]:
-                                consumed = end - cursor
-                        elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
+                j = order.index(request)
+                # a window opens when the head's counter is above the request's; a homogeneous
+                # one starts and ends with a repeat, so strict tests both before slicing it
+                if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
+                    end = min(cursor - neg[0] + neg[j] + 1, n)
+                    if not strict:
+                        if request in sequence[cursor + 1:end]:
                             consumed = end - cursor
+                    elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
+                        consumed = end - cursor
                 f = consumed - neg[j]
                 total += costs[j] + consumed - 1
                 cursor += consumed
                 if j and neg[j - 1] > -f:
-                    j = _promote(order, neg, j, f)
+                    _promote(order, neg, j, f)
                 else:
                     neg[j] = -f
         except ValueError:

@@ -198,6 +198,30 @@ class TestVfcStep:
         assert not promote.called
 
 
+@st.composite
+def counted_instance(draw, max_m=5, max_n=12):
+    """A list whose counters never increase from front to back, and requests over it."""
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    order = tuple(draw(st.permutations(range(1, m + 1))))
+    freq = sorted(draw(st.lists(st.integers(min_value=0, max_value=4), min_size=m, max_size=m)), reverse=True)
+    seq = draw(st.lists(st.sampled_from(order), max_size=max_n))
+    return order, freq, tuple(seq)
+
+
+@st.composite
+def run_heavy_instance(draw):
+    """Like ``counted_instance``, but the requests are up to six runs of one
+    symbol, each 1 to 6 long, so VFC often serves repeats after a rejected
+    window."""
+    order, freq, _ = draw(counted_instance(max_n=0))
+    runs = draw(st.lists(st.tuples(st.sampled_from(order), st.integers(min_value=1, max_value=6)), max_size=6))
+    return order, freq, tuple(s for s, length in runs for _ in range(length))
+
+
+def counted_or_run_heavy(max_n=12):
+    return st.one_of(counted_instance(max_n=max_n), run_heavy_instance())
+
+
 BATCH_THEN_REPEAT = [(2, 2, 4, 3), (2, 1, 1, 1), (1, 2, 2, 1)]
 NO_WINDOW_THEN_REPEATS = [(2, 2, 2, 1), (2, 1, 1, 1), (2, 1, 1, 1)]
 
@@ -205,10 +229,12 @@ NO_WINDOW_THEN_REPEATS = [(2, 2, 2, 1), (2, 1, 1, 1), (2, 1, 1, 1)]
 class TestVfcRepeats:
     """Requests that repeat the symbol just served, on the list 1, 2, ...
     with the given counters under FULL. A run without a trace is served
-    whole, and serves them at the index the last step left; a traced run and
-    a run with snapshots go one call a step and record these ``(request,
-    position, cost, consumed)`` steps. All three charge the steps' total, and
-    the whole run ends in the stepped runs' state."""
+    whole: literal VFC looks each repeat up, and strict hands every run but
+    its last to FC's loop, which serves a repeat at the index the last step
+    left; a traced run and a run with snapshots go one call a step and
+    record these ``(request, position, cost, consumed)`` steps. All three
+    charge the steps' total, and the whole run ends in the stepped runs'
+    state."""
 
     @pytest.mark.parametrize(
         "policy,freq,sequence,steps",
@@ -239,6 +265,27 @@ class TestVfcRepeats:
         for report in (whole, traced, stepped):
             assert report.total_cost == sum(step[2] for step in steps)
         assert whole.final_state == traced.final_state == stepped.final_state
+
+    @settings(max_examples=500, deadline=None)
+    @given(counted_or_run_heavy(max_n=24), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
+    def test_lookahead_loop_finds_each_repeat_at_the_head(self, case, policy, model):
+        """Why VFC's lookahead loop needs no repeat branch: a repeat of the
+        request served last finds its symbol at the head, so its lookup is
+        the cheapest and it opens no window. Literal leaves the symbol at the
+        head unless it rejects a window, and then the next request is another.
+        A whole strict call serves only its last run in that loop, from the
+        state a traced run reaches at the run's start r; a rejected strict
+        window before r may leave a repeat short of the head."""
+        order, freq, seq = case
+        report = run_algorithm(AlgorithmKind.VFC, state(order, freq), seq, model, policy)
+        r = len(seq) if policy is STRICT else 0
+        while r and seq[r - 1] == seq[-1]:
+            r -= 1
+        cursor, previous = 0, None
+        for step in report.steps:
+            if cursor >= r and step.request == previous:
+                assert step.position_before == 1
+            cursor, previous = cursor + step.requests_consumed, step.request
 
 
 class TestRunAlgorithm:
@@ -400,30 +447,6 @@ def test_steps_move_only_the_request_forward(case, kind, policy, model):
         before = after
 
 
-@st.composite
-def counted_instance(draw, max_m=5, max_n=12):
-    """A list whose counters never increase from front to back, and requests over it."""
-    m = draw(st.integers(min_value=1, max_value=max_m))
-    order = tuple(draw(st.permutations(range(1, m + 1))))
-    freq = sorted(draw(st.lists(st.integers(min_value=0, max_value=4), min_size=m, max_size=m)), reverse=True)
-    seq = draw(st.lists(st.sampled_from(order), max_size=max_n))
-    return order, freq, tuple(seq)
-
-
-@st.composite
-def run_heavy_instance(draw):
-    """Like ``counted_instance``, but the requests are up to six runs of one
-    symbol, each 1 to 6 long, so VFC often serves repeats after a rejected
-    window."""
-    order, freq, _ = draw(counted_instance(max_n=0))
-    runs = draw(st.lists(st.tuples(st.sampled_from(order), st.integers(min_value=1, max_value=6)), max_size=6))
-    return order, freq, tuple(s for s, length in runs for _ in range(length))
-
-
-def counted_or_run_heavy(max_n=12):
-    return st.one_of(counted_instance(max_n=max_n), run_heavy_instance())
-
-
 @settings(max_examples=500, deadline=None)
 @given(counted_or_run_heavy(), st.sampled_from([LITERAL, STRICT]), st.sampled_from([FULL, PARTIAL]))
 def test_vfc_steps_match_reference(case, policy, model):
@@ -433,7 +456,7 @@ def test_vfc_steps_match_reference(case, policy, model):
     report = run_algorithm(AlgorithmKind.VFC, s, seq, model, policy)
     steps = [(r.request, r.position_before, r.cost_charged, r.requests_consumed) for r in report.steps]
     assert steps == expected
-    # served whole, so a repeat takes the kernel's repeat branch
+    # served whole, so strict hands every run but its last to FC's loop
     whole = run_algorithm(AlgorithmKind.VFC, s, seq, model, policy, keep_trace=False)
     assert whole.total_cost == sum(step[2] for step in expected)
 

@@ -61,8 +61,9 @@ class TestGoldens:
 
     @pytest.mark.parametrize("name", RUN_GOLDENS)
     def test_untraced_run_prints_its_golden_without_step_lines(self, name):
-        """Served in one kernel call per engine, an untraced run reaches VFC's
-        repeat branch, which the traced runs (one step a call) never take."""
+        """Served in one kernel call per engine, an untraced run reaches the
+        repeat branches of FC's loop and MTF's, and strict VFC's hand-off to
+        FC's loop, which the traced runs (one step a call) never take."""
         lines = golden(name).splitlines(keepends=True)
         table = "".join(line for line in lines if not line.startswith(("step=", "# trace")))
         assert run_cli(RUN_GOLDENS[name]) == (0, table, "")

@@ -381,7 +381,7 @@ def test_prefix_walk_ends_where_each_engine_run_ends(model):
     """The verifier extends every instance's parent by one request, VFC from
     its steps whose whole window lies inside the parent; each configuration
     must end where a run over the whole instance, served in one kernel call,
-    ends. Only such a call takes VFC's repeat branch."""
+    ends. Only such a call takes the repeat branches of FC's loop and MTF's."""
     count = 0
     for instance, runs, _, _ in listlab.oracle._prefix_runs(4, 6, model):
         count += 1
@@ -465,7 +465,7 @@ def test_prefix_walk_refuses_a_chain_that_disagrees_with_the_references(monkeypa
 
 def test_prefix_walk_refuses_a_whole_run_that_disagrees_with_the_walk(monkeypatch):
     """A ``_promote`` that hands back the index it was given leaves a whole
-    VFC run serving the repeat of (2, 2) where 2 was, not at the head; the
+    FC run serving the repeat of (2, 2) where 2 was, not at the head; the
     walk serves one step a call, so only the whole-run check sees it."""
     real = listlab.algorithms._promote
 
@@ -481,12 +481,29 @@ def test_prefix_walk_refuses_a_whole_run_that_disagrees_with_the_walk(monkeypatc
 def test_prefix_walk_reruns_three_families_whole():
     """At (4,6) the walk runs whole ``(4,) * k``, ``(4,) * (k - 1) + (1,)`` and, from k = 4,
     ``(1,) + (2,) * (k - 2) + (1,)``, whose first two 2s batch and whose whole strict run
-    hands that batch to FC's loop."""
+    hands that batch to FC's loop; each as a tuple and as ``bytes``."""
     with mock.patch.object(listlab.oracle, "run_algorithm", wraps=listlab.oracle.run_algorithm) as run:
         assert verify_engines(4, 6).passed
     rerun = {call.args[2] for call in run.call_args_list}
-    assert rerun == {(4,) * k for k in range(7)} | {(4,) * k + (1,) for k in range(1, 6)} | {
+    families = {(4,) * k for k in range(7)} | {(4,) * k + (1,) for k in range(1, 6)} | {
         (1, 2, 2, 1), (1, 2, 2, 2, 1), (1, 2, 2, 2, 2, 1)}
+    assert rerun == families | {bytes(sequence) for sequence in families}
+
+
+def test_prefix_walk_reruns_reach_the_byte_slot_index():
+    """The whole reruns on ``bytes`` that serve more requests than the list has
+    symbols make TRANS and FC's loop read indices from the 256-slot list."""
+    real = listlab.algorithms._index
+    built = []
+
+    def index(order, sequence):
+        pos = real(order, sequence)
+        built.append((type(sequence), type(pos)))
+        return pos
+
+    with mock.patch.object(listlab.algorithms, "_index", index):
+        assert verify_engines(4, 6).passed
+    assert (bytes, list) in built
 
 
 @pytest.mark.parametrize("model", list(CostModel))
