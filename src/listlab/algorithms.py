@@ -69,33 +69,25 @@ jumped it, no window otherwise. Once the run reaches B requests, its B - 1
 repeats cost one unit each. Such a run is never cut, and one begun in the
 previous call is shorter than B, by the list above.
 
-A call finds a request's index j by scanning the order, unless it serves
-more requests than the list has symbols. Then TRANS and FC's loop (so FC,
-and strict VFC's hand-off to it) index the list once and read j there: from
-a 256-slot list (``None`` where no symbol sits) when the requests are
-``bytes`` or a ``bytearray``, as every corpus file is after ``preprocess``,
-and every symbol is an int in 0..255; from a dict otherwise. The guard is on
-the requests' type because a list read at a negative int wraps around:
-request -1 on a list holding 255 would be served as 255, and the symbols
-must fit a slot too, as a move rewrites theirs. An unlisted byte reads
-``None``, which raises TypeError as an index, and the dict raises KeyError;
-both raise ``SymbolNotInList`` as a failed scan does. On the surrogate
-corpus the slot list cuts whole TRANS calls by a quarter and FC's and strict
-VFC's by 7-9% against the dict. TRANS rewrites the two entries it swaps, and
-FC's loop those of ``order[c:j + 1]`` after ``_promote`` moves the element
-from j to c; on the surrogate corpus such a block holds 2.9 symbols on
-average, and only 3% of steps move. MTF's move to the head shifts every
-symbol before it, too many to rewrite, so such an MTF call packs the order
-into a ``bytearray`` when every symbol is in 0..255 and writes it back at
-the end: ``index`` is a memchr, and a move shifts bytes. TRANS and FC are
-slower packed than indexed. A packed ``index`` costs more than the list's at
-the head, where MTF left the request it served last, so a repeat (87.6% of
-the bursty workload's requests, 8.2% of the corpus's) costs ``costs[0]``
-with no lookup. One-step calls (traced runs, runs with snapshots and the
-verifier's walk) make one lookup, so they scan rather than pay for the index
-or the packing. VFC's lookahead loop always scans: a literal VFC promotion's
-block holds 13.8 symbols on average on the corpus, and rewriting their
-entries costs more than the scan it saves.
+A call is bytewise, as ``_bytewise`` decides for every kernel, when it serves
+more requests than the list has symbols, its requests are ``bytes`` or a
+``bytearray`` (a corpus file after ``preprocess``, or a list or tuple of byte
+values that ``run_algorithm`` converts) and every symbol is an int in 0..255.
+Bytewise, TRANS and FC's loop (so FC, and strict VFC's hand-off to it) read a
+request's index j from a 256-slot list, ``None`` where no symbol sits. The
+requests must be bytes, as a list read at -1 would serve 255, and the symbols
+must fit a slot, as a move rewrites theirs: TRANS the two it swaps, FC's loop
+those of ``order[c:j + 1]`` after ``_promote`` moves the element from j to c
+(2.9 on average on the surrogate corpus, where 3% of steps move). MTF's move
+to the head shifts every symbol before it, too many to rewrite, so a bytewise
+MTF call packs the order into a ``bytearray``, written back at the end:
+``index`` is a memchr, and a move shifts bytes; TRANS and FC are slower
+packed than slotted. A packed ``index`` costs more than the list's at the
+head, where MTF left the request it served last, so a repeat (87.6% of the
+bursty workload's requests) costs ``costs[0]`` with no lookup. Every other
+call scans: a one-step call makes one lookup, too few to pay for slots or
+packing, and a literal VFC promotion's block holds 13.8 symbols on average on
+the corpus, too many slots to rewrite for the scan they save.
 
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger and strict's hand-off to FC's loop are its only
@@ -110,6 +102,7 @@ A kernel only serves; ``run_algorithm`` records the steps.
 """
 
 from bisect import bisect_right
+from contextlib import suppress
 from enum import Enum
 from typing import Callable
 
@@ -185,23 +178,24 @@ def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:
     return c
 
 
-def _index(order: list[Symbol], sequence: RequestSequence) -> list | dict:
-    """Each symbol's index in ``order``, in a dict or a 256-slot list (module docstring)."""
-    pos = {s: i for i, s in enumerate(order)}
-    if isinstance(sequence, (bytes, bytearray)) and all(type(s) is int and 0 <= s <= 255 for s in order):
-        return [pos.get(b) for b in range(256)]
-    return pos
+def _bytewise(order: list[Symbol], sequence: RequestSequence, cursor: int, stop: int) -> bool:
+    """Whether a call is bytewise: MTF then packs the list, and TRANS and FC's loop slot it (module docstring)."""
+    return stop - cursor > len(order) and isinstance(sequence, (bytes, bytearray)) and all(
+        type(s) is int and 0 <= s <= 255 for s in order)
+
+
+def _slots(order: list[Symbol]) -> list[int | None]:
+    """Each byte's index in ``order``, ``None`` where no symbol sits."""
+    slots: list[int | None] = [None] * 256
+    for i, s in enumerate(order):
+        slots[s] = i
+    return slots
 
 
 def _mtf(order, neg, sequence, cursor, stop, costs):
     total = 0
-    packed = order
-    if stop - cursor > len(order):  # pack the list (module docstring)
-        try:
-            packed = bytearray(order)
-        except ValueError:  # a symbol outside 0..255
-            pass
-    previous = None  # the request this call served last, now at the head
+    packed = bytearray(order) if _bytewise(order, sequence, cursor, stop) else order
+    previous = object()  # the request this call served last, now at the head; none yet, not even None
     try:
         for request in sequence[cursor:stop]:
             if request == previous:
@@ -222,8 +216,8 @@ def _mtf(order, neg, sequence, cursor, stop, costs):
 def _trans(order, neg, sequence, cursor, stop, costs):
     total = 0
     try:
-        if stop - cursor > len(order):  # index the list (module docstring)
-            pos = _index(order, sequence)
+        if _bytewise(order, sequence, cursor, stop):
+            pos = _slots(order)
             for request in sequence[cursor:stop]:
                 j = pos[request]
                 if j:
@@ -237,7 +231,7 @@ def _trans(order, neg, sequence, cursor, stop, costs):
                 if j:
                     order[j - 1], order[j] = order[j], order[j - 1]
                 total += costs[j]
-    except (KeyError, TypeError, ValueError):  # TypeError: an unlisted byte reads None
+    except (TypeError, ValueError):  # TypeError: an unlisted byte reads None
         raise SymbolNotInList(request, sequence.index(request, cursor)) from None
     return stop, total
 
@@ -247,9 +241,8 @@ def _counting(batching: bool) -> Kernel:
 
     def serve(order, neg, sequence, cursor, stop, costs):
         total = 0
-        # index the list (module docstring)
-        pos = _index(order, sequence) if stop - cursor > len(order) else None
-        previous = None  # the request this call served last; a repeat keeps its index j
+        pos = _slots(order) if _bytewise(order, sequence, cursor, stop) else None
+        previous = object()  # the request this call served last, none yet; a repeat keeps its index j
         try:
             for request in sequence[cursor:stop]:
                 if request != previous:
@@ -272,7 +265,7 @@ def _counting(batching: bool) -> Kernel:
                     j = c
                 else:
                     neg[j] = g - 1
-        except (KeyError, TypeError, ValueError):  # TypeError: an unlisted byte reads None
+        except (TypeError, ValueError):  # TypeError: an unlisted byte reads None
             raise SymbolNotInList(request, sequence.index(request, cursor)) from None
         return stop, total
 
@@ -348,11 +341,12 @@ def run_algorithm(
     """Run one engine over a whole request sequence.
 
     Every request is consumed exactly once across steps. ``keep_trace=False``
-    drops the per-step records (corpus-scale runs only need totals) and
-    serves the sequence in one kernel call; a run that records steps calls
-    the kernel once a step, and takes each record's position from the list
-    that step found. ``snapshots=True`` keeps the records whatever
-    ``keep_trace`` says, and also captures the order and counters after each.
+    drops the per-step records and serves the sequence in one kernel call, as
+    ``bytes`` if a list or tuple of ints in 0..255, so the call can be bytewise
+    (module docstring); a run that records steps calls the kernel once a step,
+    and takes each record's position from the list that step found.
+    ``snapshots=True`` keeps the records whatever ``keep_trace`` says, and also
+    captures the order and counters after each.
     """
     order = list(state.order)
     neg = [-state.freq[s] for s in order]
@@ -383,5 +377,11 @@ def run_algorithm(
                                     tuple(order) if snapshots else None, counters() if snapshots else None))
             cursor = after
     else:
+        if isinstance(sequence, (list, tuple)):  # bytes() of another buffer copies its raw memory
+            with suppress(TypeError, ValueError):  # a request that is no int in 0..255: not bytewise
+                sequence = bytes(sequence)
         total = serve(order, neg, sequence, 0, len(sequence), costs)[1]
-    return RunReport(label, total, trace, ListState(order, dict(zip(order, counters()))))
+    final = dict(zip(order, counters()))
+    if len(final) != len(order):  # the input state's symbols were distinct, so a kernel broke it
+        raise RuntimeError(f"{label} left the list {order}, which repeats a symbol")
+    return RunReport(label, total, trace, ListState(order, final))

@@ -52,15 +52,13 @@ tests compare the two on every instance at small bounds.
 
 On three families the walk recomputes both references from scratch, and
 when the instance passes every check (a fault a check sees is reported as
-its counterexample) it runs each configuration whole, on a tuple and on
-``bytes``, and VFC's reference too; only there is a VFC charge bounded from
-above. On ``(m,) * k``, the last instance of its length and a leaf at
-``k = n_max``, a whole run reaches the repeat branches of FC's and MTF's
-loops, which one-step calls never take. On ``(m,) * (k - 1) + (1,)``, once
-k > m, it serves more requests than the list has symbols, so TRANS and FC's
-loop read indices from a dict, or a 256-slot list on ``bytes``
-(:mod:`listlab.algorithms`), and its last request finds an index that a
-promotion or a swap rewrote. Neither batches, but
+its counterexample) it runs each configuration whole, once, and VFC's
+reference too; only there is a VFC charge bounded from above. On
+``(m,) * k``, the last instance of its length and a leaf at ``k = n_max``,
+a whole run reaches the repeat branches of FC's and MTF's loops, which
+one-step calls never take. A whole run of more than m requests is bytewise
+(:mod:`listlab.algorithms`), so the last request of ``(m,) * (k - 1) + (1,)``
+reads a slot that a promotion or a swap rewrote. Neither batches, but
 ``(1,) + (2,) * (k - 2) + (1,)`` for k >= 4 does: both policies batch its
 first two 2s, and a whole strict run settles that batch in FC's loop.
 """
@@ -316,12 +314,12 @@ def verify_engines(
     batch that left another head, and whether a batch swallowed a request for
     another symbol. Online runs are not served again once committed, and a
     leaf's OPT skips its last free exchanges, which may leave the element in
-    place. The walk reruns both references, and on an instance that passes
-    every check each configuration whole (tuple and ``bytes``) and VFC's
-    reference, on ``(m,) * k`` (FC's and MTF's repeats), ``(m,) * (k - 1) + (1,)``
-    (symbol indices) and ``(1,) + (2,) * (k - 2) + (1,)`` (batches), and raises
-    ``RuntimeError`` if the chain disagrees with a rerun or VFC with its
-    reference; ``listlab verify`` reports it as exit 3.
+    place. The walk reruns both references, and on an instance that passes every
+    check each configuration whole and VFC's reference, on ``(m,) * k`` (FC's
+    and MTF's repeats), ``(m,) * (k - 1) + (1,)`` (byte slots) and ``(1,) + (2,)
+    * (k - 2) + (1,)`` (batches), and raises ``RuntimeError`` (exit 3) naming
+    the instance if a rerun breaks its list or disagrees with the chain, or VFC
+    with its reference.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
@@ -415,11 +413,13 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
         if sequence in reruns and not any(_failures(instance, runs, reference, opt)):
             for (kind, policy), (label, *_), (order, neg, _, total, *_) in zip(RUNS, _CONFIGS, runs):
                 walked = ListState(order, dict(zip(order, [-c for c in neg])))
-                for requests in (sequence, bytes(sequence)):  # bytes reach the 256-slot index
-                    whole = run_algorithm(kind, instance.to_state(), requests, model, policy, keep_trace=False)
-                    if (total, walked) != (whole.total_cost, whole.final_state):
-                        raise RuntimeError(f"{instance}: {label} walks to total {total}, {walked}; a whole run "
-                                           f"on {requests} to total {whole.total_cost}, {whole.final_state}")
+                try:
+                    whole = run_algorithm(kind, instance.to_state(), sequence, model, policy, keep_trace=False)
+                except RuntimeError as err:
+                    raise RuntimeError(f"{instance}: a whole run: {err}") from None
+                if (total, walked) != (whole.total_cost, whole.final_state):
+                    raise RuntimeError(f"{instance}: {label} walks to total {total}, {walked}; "
+                                       f"a whole run to total {whole.total_cost}, {whole.final_state}")
                 if kind is AlgorithmKind.VFC:
                     entries = [(s, 0) for s in instance.order]
                     cost = sum(step[2] for step in _vfc_steps(entries, sequence, head, policy))

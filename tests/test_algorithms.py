@@ -1,3 +1,4 @@
+from array import array
 from unittest import mock
 
 import pytest
@@ -312,7 +313,8 @@ class TestRunAlgorithm:
 
     @pytest.mark.parametrize("absent", [300, -1])
     def test_packed_mtf_call_raises_for_a_symbol_no_byte_holds(self, absent):
-        # a whole call on (1, 2) packs the list into bytes, which cannot hold 300 or -1
+        # the list (1, 2) would pack into bytes, but 300 and -1 fit no byte, so run_algorithm keeps
+        # the tuple, the whole call is not bytewise, and MTF scans the list unpacked
         sequence = (1, 2, 2, 1, absent, 1, absent)
         with pytest.raises(SymbolNotInList) as exc:
             run_algorithm(AlgorithmKind.MTF, state([1, 2]), sequence, FULL, keep_trace=False)
@@ -334,14 +336,18 @@ class TestRunAlgorithm:
         assert (exc.value.symbol, exc.value.request_index) == (9, 3)
 
     @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda c: f"{c[0].value}-{c[1].value}")
-    @pytest.mark.parametrize("sequence,index", [((9, 1, 2), 0), ((2, 1, 2, 9), 3), ((9,), 0)])
+    @pytest.mark.parametrize(
+        "sequence,index",
+        [((9, 1, 2), 0), ((2, 1, 2, 9), 3), ((9,), 0), ((None,), 0), ((None, 1, 1, 1), 0), ((1, 2, 1, None), 3)],
+    )
     def test_absent_request_at_either_end(self, configuration, sequence, index):
+        """None is no symbol either: no kernel takes it for a repeat of the request it served last."""
         kind, policy = configuration
         # served whole, a step a call with a trace, and a step a call with snapshots
         for keep_trace, snapshots in ((False, False), (True, False), (False, True)):
             with pytest.raises(SymbolNotInList) as exc:
                 run_algorithm(kind, state([1, 2]), sequence, FULL, policy, keep_trace=keep_trace, snapshots=snapshots)
-            assert (exc.value.symbol, exc.value.request_index) == (9, index)
+            assert (exc.value.symbol, exc.value.request_index) == (sequence[index], index)
 
     def test_snapshots_capture_order_and_counters(self):
         report = run_algorithm(
@@ -562,14 +568,14 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
 @pytest.mark.parametrize("distribution", [Zipf(1.0), RunLengths(4.0)], ids=["zipf", "runs"])
 @pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[strict]"])
 def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution, model, first):
-    """On a 64-symbol list, one kernel call over the whole sequence, which
-    looks symbols up by index (TRANS, FC's loop) or in the list packed into
-    bytes (MTF), and one call a step, which scans the list, charge the same
-    total and leave the same order and counters. The index is a dict on a
-    Python list of requests and a 256-slot list on the same requests as
-    ``bytes``. The symbols from 200 on run past 255, so they cannot be
-    bytes, and a whole MTF call cannot pack them and scans the list. The
-    property-based tests' lists hold at most five symbols."""
+    """On a 64-symbol list, one call a step, which scans the list, one kernel
+    call over the whole sequence as a Python list, which scans it too, and
+    one over the same requests as ``bytes``, which is bytewise: it looks
+    symbols up in a 256-slot list (TRANS, FC's loop) or in the list packed
+    into bytes (MTF). All charge the same total and leave the same order and
+    counters. The symbols from 200 on run past 255, so they cannot be bytes,
+    and only the scanning calls run. The property-based tests' lists hold
+    at most five symbols."""
     alphabet = list(range(first, first + 64))
     sequence = generate_sequence(alphabet, 3000, distribution, seed=3)
     serve = listlab.algorithms._KERNELS[label]
@@ -585,13 +591,26 @@ def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution,
     assert runs[1:] == runs[:1] * (len(runs) - 1)
 
 
+@pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda c: f"{c[0].value}-{c[1].value}")
+def test_whole_run_reads_byte_values_however_they_come(configuration):
+    """``run_algorithm`` serves a list of byte values as ``bytes``, bytewise, and an
+    ``array('H')`` of them as it is, scanning; all three runs agree. ``bytes()`` of
+    the array would copy its two-byte items, so every request would read wrong."""
+    kind, policy = configuration
+    alphabet = list(range(40, 60))
+    requests = generate_sequence(alphabet, 2000, RunLengths(3.0), seed=5)
+    reports = [run_algorithm(kind, state(alphabet), sequence, FULL, policy, keep_trace=False)
+               for sequence in (requests, bytes(requests), array("H", requests))]
+    assert reports[1:] == reports[:1] * 2
+
+
 @pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"])
 @pytest.mark.parametrize(
     "order,sequence,absent",
     [
         ((1, 2), bytes((1, 2, 2, 1, 9, 1, 9)), (9, 4)),
         ((1, 2), bytearray((1, 2, 2, 1, 9, 1, 9)), (9, 4)),
-        # a list indexed by -1 would read the last slot, 255's; tuples are looked up in a dict
+        # a list indexed by -1 would read the last slot, 255's; a whole call on a tuple scans
         ((0, 255), (0, 255, 0, -1), (-1, 3)),
         ((0, 255), (0, 255, 256), (256, 2)),
         ((-1, 1), bytes((1, 1, 255)), (255, 2)),  # and -1, swapped back, would rewrite 255's slot
@@ -599,9 +618,9 @@ def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution,
     ids=["bytes", "bytearray", "minus-one", "past-255", "listed-minus-one"],
 )
 def test_whole_call_raises_for_the_first_unlisted_request(label, order, sequence, absent):
-    """A whole call, which looks requests up by index, raises
+    """A whole call, bytewise on bytes and scanning on a tuple, raises
     ``SymbolNotInList`` naming the first unlisted request and its index: an
-    unlisted byte finds no index, and no request outside 0..255 is served
+    unlisted byte finds no slot, and no request outside 0..255 is served
     as the symbol whose slot it would wrap around to."""
     serve = listlab.algorithms._KERNELS[label]
     with pytest.raises(SymbolNotInList) as exc:

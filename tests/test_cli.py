@@ -160,6 +160,30 @@ class TestInternalError:
         assert line.startswith("internal error: SmallInstance(order=(1, 2), sequence=(2, 2)")
         assert "Traceback" not in err
 
+    def test_verify_rerun_that_repeats_a_symbol(self, monkeypatch):
+        """A slot list shifted by one makes the whole TRANS run of (1, 2, 2, 2, 1), the
+        first rerun longer than the list, write 1 over the symbol after it and repeat 1."""
+        real = listlab.algorithms._slots
+        monkeypatch.setattr(listlab.algorithms, "_slots", lambda order: (lambda s: s[1:] + s[:1])(real(order)))
+        code, _, err = run_cli(["verify", "--max-list-size", "4", "--max-seq-len", "6"])
+        assert code == 3
+        (line,) = err.splitlines()
+        assert line.startswith("internal error: SmallInstance(order=(1, 2, 3, 4), sequence=(1, 2, 2, 2, 1)")
+        assert line.endswith("a whole run: trans left the list [1, 2, 1, 4], which repeats a symbol")
+
+    def test_run_with_a_kernel_that_repeats_a_symbol(self, monkeypatch):
+        real = listlab.algorithms._KERNELS["mtf"]
+
+        def duplicating(order, *args):
+            served = real(order, *args)
+            order[-1] = order[0]
+            return served
+
+        monkeypatch.setitem(listlab.algorithms._KERNELS, "mtf", duplicating)
+        code, out, err = run_cli(["run", "--demo", "--algos", "mtf"])
+        assert (code, out) == (3, "")
+        assert err == "internal error: mtf left the list [3, 2, 3], which repeats a symbol\n"
+
 
 def test_trace_prints_batched_step():
     code, out, _ = run_cli(["run", "--demo", "--algos", "vfc", "--trace"])

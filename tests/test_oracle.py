@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from collections import Counter
 from itertools import product
 from unittest import mock
 
@@ -478,32 +479,48 @@ def test_prefix_walk_refuses_a_whole_run_that_disagrees_with_the_walk(monkeypatc
         verify_engines(2, 3)
 
 
+# the instances verify_engines(4, 6) reruns whole: see test_prefix_walk_reruns_three_families_whole
+FAMILIES_4_6 = {(4,) * k for k in range(7)} | {(4,) * k + (1,) for k in range(1, 6)} | {
+    (1, 2, 2, 1), (1, 2, 2, 2, 1), (1, 2, 2, 2, 2, 1)}
+
+
 def test_prefix_walk_reruns_three_families_whole():
     """At (4,6) the walk runs whole ``(4,) * k``, ``(4,) * (k - 1) + (1,)`` and, from k = 4,
     ``(1,) + (2,) * (k - 2) + (1,)``, whose first two 2s batch and whose whole strict run
-    hands that batch to FC's loop; each as a tuple and as ``bytes``."""
+    hands that batch to FC's loop; each once per configuration."""
     with mock.patch.object(listlab.oracle, "run_algorithm", wraps=listlab.oracle.run_algorithm) as run:
         assert verify_engines(4, 6).passed
-    rerun = {call.args[2] for call in run.call_args_list}
-    families = {(4,) * k for k in range(7)} | {(4,) * k + (1,) for k in range(1, 6)} | {
-        (1, 2, 2, 1), (1, 2, 2, 2, 1), (1, 2, 2, 2, 2, 1)}
-    assert rerun == families | {bytes(sequence) for sequence in families}
+    rerun = Counter(call.args[2] for call in run.call_args_list)
+    assert rerun == dict.fromkeys(FAMILIES_4_6, len(listlab.oracle.RUNS))
 
 
 def test_prefix_walk_reruns_reach_the_byte_slot_index():
-    """The whole reruns on ``bytes`` that serve more requests than the list has
-    symbols make TRANS and FC's loop read indices from the 256-slot list."""
-    real = listlab.algorithms._index
-    built = []
+    """``run_algorithm`` serves each rerun tuple as ``bytes``, so every rerun that serves more
+    requests than the list has symbols is bytewise: MTF packs the list, and TRANS and FC read
+    the 256-slot list. Strict VFC's hand-off to FC's loop serves all but the last run, more than
+    four requests only on (4, 4, 4, 4, 4, 1) and (1, 2, 2, 2, 2, 1). Nothing else is bytewise."""
+    real_run, real_bytewise = listlab.oracle.run_algorithm, listlab.algorithms._bytewise
+    rerun, bytewise = [None], set()
 
-    def index(order, sequence):
-        pos = real(order, sequence)
-        built.append((type(sequence), type(pos)))
-        return pos
+    def run(kind, state, sequence, model, policy, **kwargs):
+        rerun[0] = (sequence, listlab.algorithms._label(kind, policy))
+        try:
+            return real_run(kind, state, sequence, model, policy, **kwargs)
+        finally:
+            rerun[0] = None
 
-    with mock.patch.object(listlab.algorithms, "_index", index):
+    def decide(order, sequence, cursor, stop):
+        fits = real_bytewise(order, sequence, cursor, stop)
+        if fits:
+            bytewise.add(rerun[0])
+        return fits
+
+    with mock.patch.object(listlab.oracle, "run_algorithm", run), \
+            mock.patch.object(listlab.algorithms, "_bytewise", decide):
         assert verify_engines(4, 6).passed
-    assert (bytes, list) in built
+    longer = [sequence for sequence in FAMILIES_4_6 if len(sequence) > 4]
+    assert bytewise == {(sequence, label) for sequence in longer for label in ("mtf", "trans", "fc")} | {
+        ((4, 4, 4, 4, 4, 1), "vfc[strict]"), ((1, 2, 2, 2, 2, 1), "vfc[strict]")}
 
 
 @pytest.mark.parametrize("model", list(CostModel))
