@@ -344,7 +344,7 @@ def run_algorithm(
     drops the per-step records and serves the sequence in one kernel call, as
     ``bytes`` if a list or tuple of ints in 0..255, so the call can be bytewise
     (module docstring); a run that records steps calls the kernel once a step,
-    and takes each record's position from the list that step found.
+    and reads each record's position back from that step's charge.
     ``snapshots=True`` keeps the records whatever ``keep_trace`` says, and also
     captures the order and counters after each.
     """
@@ -366,14 +366,10 @@ def run_algorithm(
     if keep_trace or snapshots:  # one step a call, to record each
         cursor = total = 0
         while cursor < len(sequence):
-            request = sequence[cursor]
-            try:
-                position = order.index(request) + 1
-            except ValueError:  # absent: the kernel raises SymbolNotInList
-                position = 0
             after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
             total += cost
-            trace.append(StepRecord(request, position, cost, after - cursor,
+            consumed = after - cursor  # the step charged costs[j] + consumed - 1 for position j + 1
+            trace.append(StepRecord(sequence[cursor], cost - costs[0] - consumed + 2, cost, consumed,
                                     tuple(order) if snapshots else None, counters() if snapshots else None))
             cursor = after
     else:

@@ -319,7 +319,8 @@ def verify_engines(
     and MTF's repeats), ``(m,) * (k - 1) + (1,)`` (byte slots) and ``(1,) + (2,)
     * (k - 2) + (1,)`` (batches), and raises ``RuntimeError`` (exit 3) naming
     the instance if a rerun breaks its list or disagrees with the chain, or VFC
-    with its reference.
+    with its reference, and naming the configuration and the sequence if a step
+    of the walk lost a symbol of the list.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
@@ -347,22 +348,26 @@ def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list
     order = order[:]  # the chain shares the run's lists
     if counting:
         neg = neg[:]
-    while cursor < end:
-        request = sequence[cursor]
-        # the unclipped window ends at cursor + |g - f_head| + 1; a step
-        # with no window (head counter <= g) ends by cursor + 1 <= end
-        if committed and lookahead and cursor - neg[0] + neg[order.index(request)] + 1 > end:
-            break
-        after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
-        total += cost
-        if counting:
-            if unsorted is None and neg != sorted(neg):
-                unsorted = f"{label} counters {tuple(-c for c in neg)} after serving {request}"
-            if after - cursor > 1:
-                if order[0] != request:
-                    batches += ((after, f"{label} batch on {request} left head {order[0]}"),)
-                swallowed |= sequence[cursor:after].count(request) != after - cursor
-        cursor = after
+    try:
+        while cursor < end:
+            request = sequence[cursor]
+            # the unclipped window ends at cursor + |g - f_head| + 1; a step
+            # with no window (head counter <= g) ends by cursor + 1 <= end
+            if committed and lookahead and cursor - neg[0] + neg[order.index(request)] + 1 > end:
+                break
+            after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
+            total += cost
+            if counting:
+                if unsorted is None and neg != sorted(neg):
+                    unsorted = f"{label} counters {tuple(-c for c in neg)} after serving {request}"
+                if after - cursor > 1:
+                    if order[0] != request:
+                        batches += ((after, f"{label} batch on {request} left head {order[0]}"),)
+                    swallowed |= sequence[cursor:after].count(request) != after - cursor
+            cursor = after
+    except (SymbolNotInList, ValueError) as err:  # from the kernel, or the window test's lookup
+        # every request is listed, so a step lost a symbol; the walk's instances differ only in sequence
+        raise RuntimeError(f"{label} lost a symbol of the list serving seq={sequence}: {err}") from None
     return order, neg, cursor, total, unsorted, batches, swallowed
 
 

@@ -171,6 +171,50 @@ class TestInternalError:
         assert line.startswith("internal error: SmallInstance(order=(1, 2, 3, 4), sequence=(1, 2, 2, 2, 1)")
         assert line.endswith("a whole run: trans left the list [1, 2, 1, 4], which repeats a symbol")
 
+    @staticmethod
+    def _verify_walking(monkeypatch, label, kernel, max_seq_len):
+        """The one stderr line of a verify at list size 3 that exits 3 with ``kernel``
+        driving ``label`` in the walk: ``_CONFIGS`` holds the kernels the walk drives."""
+        configs = [(name, kernel if name == label else serve, *traits)
+                   for name, serve, *traits in listlab.oracle._CONFIGS]
+        monkeypatch.setattr(listlab.oracle, "_CONFIGS", tuple(configs))
+        code, _, err = run_cli(["verify", "--max-list-size", "3", "--max-seq-len", max_seq_len])
+        assert code == 3
+        (line,) = err.splitlines()
+        return line
+
+    def test_verify_walk_step_that_loses_a_symbol(self, monkeypatch):
+        """A TRANS step that writes the request over its predecessor instead of swapping
+        them loses 1 on (1, 1, 2), so the kernel meets an unlisted 1 on (1, 1, 2, 1): a
+        broken engine, not bad input."""
+
+        def overwriting(order, neg, sequence, cursor, stop, costs):
+            request = sequence[cursor]
+            if request not in order:
+                raise listlab.SymbolNotInList(request, cursor)
+            j = order.index(request)
+            if j:
+                order[j - 1] = request
+            return cursor + 1, costs[j]
+
+        line = self._verify_walking(monkeypatch, "trans", overwriting, "4")
+        assert line == ("internal error: trans lost a symbol of the list serving seq=(1, 1, 2, 1): "
+                        "symbol 1 is not in the list (request index 3)")
+
+    def test_verify_window_test_that_meets_a_lost_symbol(self, monkeypatch):
+        """A literal VFC step that writes the third symbol over the second once 2 is at the
+        head loses 1 on (1, 2); the walk extends (1, 2, 2, 1), so its window test looks 1 up."""
+        real = listlab.algorithms._KERNELS["vfc[literal]"]
+
+        def overwriting(order, neg, sequence, cursor, stop, costs):
+            served = real(order, neg, sequence, cursor, stop, costs)
+            if sequence[cursor] == 2 == order[0]:
+                order[1] = order[2]
+            return served
+
+        line = self._verify_walking(monkeypatch, "vfc[literal]", overwriting, "5")
+        assert line == "internal error: vfc[literal] lost a symbol of the list serving seq=(1, 2, 2, 1): 1 is not in list"
+
     def test_run_with_a_kernel_that_repeats_a_symbol(self, monkeypatch):
         real = listlab.algorithms._KERNELS["mtf"]
 

@@ -35,10 +35,11 @@ def test_verifier_and_engine_errors_are_exported():
 
 
 def test_all_lists_exactly_the_public_names():
+    # dir, not vars: the package binds a name only once it is first used
     public = {
         name
-        for name, value in vars(listlab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(listlab)
+        if not name.startswith("_") and not isinstance(getattr(listlab, name), types.ModuleType)
     }
     assert set(listlab.__all__) == public
 
@@ -48,14 +49,36 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY_IMPORTS = {"xml", "urllib", "http", "email", "ssl", "socket", "dataclasses", "inspect", "heapq"}
 
 
-def test_import_loads_none_of_the_heavy_stdlib_modules():
-    # before and after in one fresh interpreter, as site's preloads vary by machine
-    code = "import sys; before = set(sys.modules); import listlab; print(*sorted(set(sys.modules) - before))"
+def fresh_imports(statement: str) -> list[str]:
+    """The modules ``statement`` adds to ``sys.modules`` in a fresh interpreter; before and
+    after are read in one process, as site's preloads vary by machine."""
+    code = f"import sys; before = set(sys.modules); {statement}; print(*sorted(set(sys.modules) - before))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    added = out.split()
-    assert "listlab" in added
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+def test_import_loads_none_of_the_heavy_stdlib_modules():
+    added = fresh_imports("import listlab")
+    assert [name for name in added if name.startswith("listlab")] == ["listlab"]  # and none of its submodules
     assert [name for name in added if name.split(".")[0] in HEAVY_IMPORTS] == []
+
+
+@pytest.mark.parametrize("statement,loaded", [
+    ("from listlab import run_algorithm", ["listlab.algorithms", "listlab.listcore"]),
+    ("import listlab; listlab.oracle.verify_engines", ["listlab.algorithms", "listlab.listcore", "listlab.oracle"]),
+    ("from listlab import *; import listlab; assert all(name in globals() for name in listlab.__all__)",
+     ["listlab.algorithms", "listlab.chart", "listlab.corpus", "listlab.listcore", "listlab.oracle",
+      "listlab.report"]),
+])
+def test_import_loads_only_the_submodules_a_name_needs(statement, loaded):
+    assert [name for name in fresh_imports(statement) if name.startswith("listlab.")] == loaded
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'nope'"):
+        listlab.nope
+    assert not hasattr(listlab, "nope")
 
 
 # (class, required args only, the repr they give, which pins every default, args with one field changed or None,
