@@ -32,9 +32,8 @@ itself when c == j. So the element stays put when c == j, and otherwise goes
 to c - 1 if that counter equals f and to c if it does not. The kernels test
 c == j before any search: the counters are sorted, so c == j exactly when
 j == 0 or the counter at j - 1 is at least f, and such a step only writes
-the new counter. Most steps are of this kind (97% of FC's and of strict
-VFC's on the surrogate corpus), so only a step that moves the element calls
-the search.
+the new counter. Most steps are of this kind on the surrogate corpus, so
+only a step that moves the element calls the search.
 
 Once VFC has served a step for s, a request for s right after it cannot
 fire a batch, under either policy:
@@ -48,9 +47,12 @@ fire a batch, under either policy:
   stays where it is as s climbs by one a step, so the window still holds
   the request that is not s, unless s reaches the head.
 
-FC's loop serves a repeat of the request it served last at the index j the
-last step left (``_promote`` returns it), with no lookup; only calls of more
-than one step (untraced runs, the verifier's whole reruns) take it. VFC's
+Only calls of more than one step (untraced runs, the verifier's whole
+reruns) meet repeats. FC's request loop serves a repeat of the request it
+served last at the index j the last step left (``_promote`` returns it), with
+no lookup. FC's run loop serves a run of L requests for s in O(moves) steps:
+s moves only once its counter ties its predecessor's, so the next ``neg[j] -
+neg[j - 1] + 1`` requests cost ``costs[j]`` each, the last moving s. VFC's
 lookahead loop looks up and tests every request: in a whole call a repeat
 finds s at the head, by the list above, as a whole strict call serves there
 only its last run, which rejects no window.
@@ -62,12 +64,14 @@ head as FC does serving the B requests one by one, and neither moves
 another element. A batch cut at the sequence's end jumps s with a smaller
 counter, which may meet the tie rule differently from FC's climbs: list
 (1,2,3), requests (1,1,1,3,3,3). So a strict call of more than one step
-serves each run before the one holding ``stop - 1`` through FC's loop. At
-the run's first repeat it reads B from the state the first step left:
-``neg[j] - neg[0] + 2`` with s at j > 0, 2 if the step tied the head and
-jumped it, no window otherwise. Once the run reaches B requests, its B - 1
-repeats cost one unit each. Such a run is never cut, and one begun in the
-previous call is shorter than B, by the list above.
+serves each run before the one holding ``stop - 1`` through FC's loop, and
+a run of L >= B requests costs ``costs[j] + (B - 1) + (L - B) * costs[0]``:
+its first step, the batch's other B - 1 requests at one unit each, and the
+rest at the head. The run loop reads B before the run's first step, as
+``neg[j] - neg[0] + 1``, and moves s to the head at once; the request loop
+reads it from the state the first step left, and settles when s's counter
+reaches f_head. Such a run is never cut, and one begun in the previous call
+is shorter than B, by the list above.
 
 A call is bytewise, as ``_bytewise`` decides for every kernel, when it serves
 more requests than the list has symbols, its requests are ``bytes`` or a
@@ -77,17 +81,24 @@ Bytewise, TRANS and FC's loop (so FC, and strict VFC's hand-off to it) read a
 request's index j from a 256-slot list, ``None`` where no symbol sits. The
 requests must be bytes, as a list read at -1 would serve 255, and the symbols
 must fit a slot, as a move rewrites theirs: TRANS the two it swaps, FC's loop
-those of ``order[c:j + 1]`` after ``_promote`` moves the element from j to c
-(2.9 on average on the surrogate corpus, where 3% of steps move). MTF's move
-to the head shifts every symbol before it, too many to rewrite, so a bytewise
-MTF call packs the order into a ``bytearray``, written back at the end:
-``index`` is a memchr, and a move shifts bytes; TRANS and FC are slower
-packed than slotted. A packed ``index`` costs more than the list's at the
-head, where MTF left the request it served last, so a repeat (87.6% of the
-bursty workload's requests) costs ``costs[0]`` with no lookup. Every other
+those of ``order[c:j + 1]`` after ``_promote`` moves the element from j to c,
+which few steps do. MTF's move to the head shifts every symbol before it,
+too many to rewrite, so a bytewise MTF call packs the order into a
+``bytearray``, written back at the end: ``index`` is a memchr, and a move
+shifts bytes; TRANS and FC are slower packed than slotted. A packed
+``index`` costs more than the list's at the head, where MTF left the request
+it served last, so a repeat costs ``costs[0]`` with no lookup. Every other
 call scans: a one-step call makes one lookup, too few to pay for slots or
-packing, and a literal VFC promotion's block holds 13.8 symbols on average on
-the corpus, too many slots to rewrite for the scan they save.
+packing, and a literal VFC promotion's block holds too many symbols to
+rewrite their slots for the scan they save.
+
+A bytewise call of FC's loop takes the run loop when at least half of its
+first 4,096 requests repeat the one before (a few microseconds to count), and
+the request loop otherwise: a run costs more Python steps than a request,
+and the two loops measured even on geometric runs of mean 2, where half the
+requests repeat (CHANGES.md). ``_runs`` finds the runs in C: with the
+requests read as one integer a, the bytes of ``a ^ a >> 8`` are 0 exactly at
+repeats, and as line ends they let ``splitlines`` cut after each run.
 
 One range kernel per engine; VFC's policies share one, built per policy,
 whose batch trigger and strict's hand-off to FC's loop are its only
@@ -192,6 +203,28 @@ def _slots(order: list[Symbol]) -> list[int | None]:
     return slots
 
 
+# FC's loop serves a bytewise call run by run when at least this share of its first _SAMPLE requests repeat
+_SAMPLE = 4096
+_REPEATS = 0.5
+_ENDS = bytes([0]) + b"\n" * 255  # a change mark to a line end
+
+
+def _changes(sequence: bytes, cursor: int, stop: int) -> bytes:
+    """A byte per request of ``sequence[cursor:stop]``, 0 where it repeats the one before; the first is the request."""
+    a = int.from_bytes(sequence[cursor:stop], "big")
+    return (a ^ a >> 8).to_bytes(stop - cursor, "big")
+
+
+def _runs(sequence: bytes, cursor: int, stop: int) -> list[int] | None:
+    """The length of each maximal run of one request in ``sequence[cursor:stop]``
+    if the call is worth serving run by run, ``None`` if not (module docstring)."""
+    sample = min(stop - cursor, _SAMPLE)
+    if _changes(sequence, cursor, cursor + sample).count(0, 1) < _REPEATS * sample:
+        return None
+    # request i ends its run where request i + 1 starts one, and the last ends the last
+    return list(map(len, (_changes(sequence, cursor, stop)[1:] + b"\0").translate(_ENDS).splitlines(True)))
+
+
 def _mtf(order, neg, sequence, cursor, stop, costs):
     total = 0
     packed = bytearray(order) if _bytewise(order, sequence, cursor, stop) else order
@@ -242,8 +275,32 @@ def _counting(batching: bool) -> Kernel:
     def serve(order, neg, sequence, cursor, stop, costs):
         total = 0
         pos = _slots(order) if _bytewise(order, sequence, cursor, stop) else None
-        previous = object()  # the request this call served last, none yet; a repeat keeps its index j
+        lengths = _runs(sequence, cursor, stop) if pos else None
         try:
+            if lengths:
+                at = cursor
+                for rest in lengths:  # a run of L = rest requests for s = request, at index j
+                    request = sequence[at]
+                    at += rest
+                    j = pos[request]
+                    if batching and 0 < (b := neg[j] - neg[0]) < rest:  # b = B - 1, and the run settles its batch
+                        total += costs[j] + b + (rest - 1 - b) * costs[0]
+                        _promote(order, neg, j, rest - neg[j])
+                        for i in range(j + 1):
+                            pos[order[i]] = i
+                        continue
+                    while j and (gap := neg[j] - neg[j - 1]) < rest:  # s moves on the request after the gap
+                        total += costs[j] * (gap + 1)
+                        rest -= gap + 1
+                        neg[j] = g = neg[j - 1]  # as the moving request finds it
+                        c = _promote(order, neg, j, 1 - g)
+                        for i in range(c, j + 1):
+                            pos[order[i]] = i
+                        j = c
+                    total += costs[j] * rest
+                    neg[j] -= rest
+                return stop, total
+            previous = object()  # the request this call served last, none yet; a repeat keeps its index j
             for request in sequence[cursor:stop]:
                 if request != previous:
                     previous = request

@@ -60,7 +60,12 @@ one-step calls never take. A whole run of more than m requests is bytewise
 (:mod:`listlab.algorithms`), so the last request of ``(m,) * (k - 1) + (1,)``
 reads a slot that a promotion or a swap rewrote. Neither batches, but
 ``(1,) + (2,) * (k - 2) + (1,)`` for k >= 4 does: both policies batch its
-first two 2s, and a whole strict run settles that batch in FC's loop.
+first two 2s, and a whole strict run settles that batch in FC's loop. A
+bytewise call of FC's loop serves run by run when at least half its requests
+repeat the one before: on ``(m,) * k``, on ``(m,) * (k - 1) + (1,)`` from
+k = 4 and on ``(1,) + (2,) * (k - 2) + (1,)`` from k = 6, where strict's
+hand-off, from k = 5, settles the batch in the run loop. Shorter bytewise
+calls take FC's request loop.
 """
 
 import itertools
@@ -314,13 +319,12 @@ def verify_engines(
     batch that left another head, and whether a batch swallowed a request for
     another symbol. Online runs are not served again once committed, and a
     leaf's OPT skips its last free exchanges, which may leave the element in
-    place. The walk reruns both references, and on an instance that passes every
-    check each configuration whole and VFC's reference, on ``(m,) * k`` (FC's
-    and MTF's repeats), ``(m,) * (k - 1) + (1,)`` (byte slots) and ``(1,) + (2,)
-    * (k - 2) + (1,)`` (batches), and raises ``RuntimeError`` (exit 3) naming
-    the instance if a rerun breaks its list or disagrees with the chain, or VFC
-    with its reference, and naming the configuration and the sequence if a step
-    of the walk lost a symbol of the list.
+    place. On three families of instances (module docstring) the walk reruns
+    both references, and on an instance that passes every check each
+    configuration whole and VFC's reference. It raises ``RuntimeError`` (exit
+    3) naming the instance if a rerun breaks its list or disagrees with the
+    chain, or VFC with its reference, and naming the configuration and the
+    sequence if a step of the walk lost a symbol of the list.
     """
     model = CostModel(model)
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)

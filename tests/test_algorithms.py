@@ -480,13 +480,14 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
     counter sum it finds, which grows by each step's consumed requests.
 
     A whole strict run serves every run of requests but its last through
-    FC's loop, so a batch there climbs where a stepped run jumps: below the
-    last run's start r it calls ``_promote`` where FC served whole does, and
-    from r on where the stepped run does."""
+    FC's loop. Its run loop jumps a settled batch as a stepped run does, so
+    the whole run calls ``_promote`` where the stepped run does. Its request
+    loop climbs instead: below the last run's start r it calls ``_promote``
+    where FC served whole does, and from r on where the stepped run does."""
     order, freq, seq = case
     kind, policy = configuration
-    real = listlab.algorithms._promote
-    calls = []
+    real, real_runs = listlab.algorithms._promote, listlab.algorithms._runs
+    calls, by_runs = [], []
 
     def promote(order, neg, j, f):
         calls.append(-sum(neg))
@@ -495,10 +496,16 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
         assert order[c] == symbol
         return c
 
+    def runs(sequence, cursor, stop):
+        lengths = real_runs(sequence, cursor, stop)
+        by_runs.append(lengths is not None)
+        return lengths
+
     # patched in the body, since hypothesis rejects function-scoped fixtures such as monkeypatch
-    with mock.patch.object(listlab.algorithms, "_promote", promote):
+    with mock.patch.object(listlab.algorithms, "_promote", promote), \
+            mock.patch.object(listlab.algorithms, "_runs", runs):
         run_algorithm(kind, state(order, freq), seq, model, policy, keep_trace=False)
-        whole, calls = calls, []
+        whole, calls, jumps = calls, [], any(by_runs)
         run_algorithm(AlgorithmKind.FC, state(order, freq), seq, model, keep_trace=False)
         fc, calls = calls, []
         report = run_algorithm(kind, state(order, freq), seq, model, policy, snapshots=True)
@@ -508,7 +515,7 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
             moved.append(served)
         before, served = step.list_after, served + step.requests_consumed
     assert calls == moved
-    if policy is STRICT:
+    if policy is STRICT and not jumps:
         r = len(seq)  # the start of the last run
         while r and seq[r - 1] == seq[-1]:
             r -= 1
@@ -563,21 +570,44 @@ def test_whole_run_and_step_at_a_time_agree(case, configuration, model):
     ]
 
 
+def run_free(alphabet, length):
+    """``length`` Zipf requests over ``alphabet``, none of which repeats the one before it."""
+    requests = generate_sequence(alphabet, 2 * length, Zipf(1.0), seed=3)
+    return [r for r, previous in zip(requests, [None] + requests) if r != previous][:length]
+
+
+# name: (list size, the requests over that list); the last two straddle the selection of
+# FC's run loop, which reads a call's first 4,096 requests
+WHOLE_CALLS = {
+    "zipf": (64, lambda a: generate_sequence(a, 3000, Zipf(1.0), seed=3)),
+    "runs": (64, lambda a: generate_sequence(a, 3000, RunLengths(4.0), seed=3)),
+    "long-runs": (4, lambda a: generate_sequence(a, 3000, RunLengths(64.0), seed=3)),
+    "run-free-then-runs": (64, lambda a: run_free(a, 4096) + generate_sequence(a, 3000, RunLengths(8.0), seed=3)),
+    "runs-then-run-free": (64, lambda a: generate_sequence(a, 4096, RunLengths(8.0), seed=3) + run_free(a, 3000)),
+}
+
+
 @pytest.mark.parametrize("first", [0, 200], ids=["bytes", "wide"])
 @pytest.mark.parametrize("model", [FULL, PARTIAL])
-@pytest.mark.parametrize("distribution", [Zipf(1.0), RunLengths(4.0)], ids=["zipf", "runs"])
-@pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[strict]"])
-def test_indexed_whole_call_matches_scanning_one_step_calls(label, distribution, model, first):
-    """On a 64-symbol list, one call a step, which scans the list, one kernel
-    call over the whole sequence as a Python list, which scans it too, and
-    one over the same requests as ``bytes``, which is bytewise: it looks
-    symbols up in a 256-slot list (TRANS, FC's loop) or in the list packed
-    into bytes (MTF). All charge the same total and leave the same order and
-    counters. The symbols from 200 on run past 255, so they cannot be bytes,
-    and only the scanning calls run. The property-based tests' lists hold
-    at most five symbols."""
-    alphabet = list(range(first, first + 64))
-    sequence = generate_sequence(alphabet, 3000, distribution, seed=3)
+@pytest.mark.parametrize("inputs", list(WHOLE_CALLS))
+@pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"])
+def test_indexed_whole_call_matches_scanning_one_step_calls(label, inputs, model, first):
+    """On a 64-symbol list (4 for the long runs), one call a step, which
+    scans the list, one kernel call over the whole sequence as a Python list,
+    which scans it too, and one over the same requests as ``bytes``, which is
+    bytewise: it looks symbols up in a 256-slot list (TRANS, FC's loop) or in
+    the list packed into bytes (MTF). All charge the same total and leave the
+    same order and counters. FC's loop serves the bytes run by run when at
+    least half its first 4,096 requests repeat the one before, so the long
+    runs hold s at the head for dozens of repeats there. The symbols from
+    200 on run past 255, so they cannot be bytes, and only the scanning
+    calls run. The property-based tests' lists hold at most five symbols."""
+    size, generate = WHOLE_CALLS[inputs]
+    alphabet = list(range(first, first + size))
+    sequence = generate(alphabet)
+    if first == 0:
+        by_runs = listlab.algorithms._runs(bytes(sequence), 0, len(sequence)) is not None
+        assert by_runs == (inputs in ("runs", "long-runs", "runs-then-run-free"))
     serve = listlab.algorithms._KERNELS[label]
     costs = listlab.algorithms._access_costs(model, len(alphabet))
     calls = [(sequence, 1), (sequence, len(sequence))] + ([(bytes(sequence), len(sequence))] if first == 0 else [])

@@ -498,9 +498,13 @@ def test_prefix_walk_reruns_reach_the_byte_slot_index():
     """``run_algorithm`` serves each rerun tuple as ``bytes``, so every rerun that serves more
     requests than the list has symbols is bytewise: MTF packs the list, and TRANS and FC read
     the 256-slot list. Strict VFC's hand-off to FC's loop serves all but the last run, more than
-    four requests only on (4, 4, 4, 4, 4, 1) and (1, 2, 2, 2, 2, 1). Nothing else is bytewise."""
-    real_run, real_bytewise = listlab.oracle.run_algorithm, listlab.algorithms._bytewise
-    rerun, bytewise = [None], set()
+    four requests only on (4, 4, 4, 4, 4, 1) and (1, 2, 2, 2, 2, 1). Nothing else is bytewise.
+    FC's loop takes its run loop where at least half the requests repeat the one before: every
+    bytewise call but FC's on (1, 2, 2, 2, 1), which takes the request loop. The strict hand-off
+    on (1, 2, 2, 2, 2) settles a batch in the run loop."""
+    real_run, real_bytewise, real_runs = (listlab.oracle.run_algorithm, listlab.algorithms._bytewise,
+                                          listlab.algorithms._runs)
+    rerun, bytewise, by_runs = [None], set(), set()
 
     def run(kind, state, sequence, model, policy, **kwargs):
         rerun[0] = (sequence, listlab.algorithms._label(kind, policy))
@@ -515,12 +519,20 @@ def test_prefix_walk_reruns_reach_the_byte_slot_index():
             bytewise.add(rerun[0])
         return fits
 
+    def runs(sequence, cursor, stop):
+        lengths = real_runs(sequence, cursor, stop)
+        if lengths:
+            by_runs.add(rerun[0])
+        return lengths
+
     with mock.patch.object(listlab.oracle, "run_algorithm", run), \
-            mock.patch.object(listlab.algorithms, "_bytewise", decide):
+            mock.patch.object(listlab.algorithms, "_bytewise", decide), \
+            mock.patch.object(listlab.algorithms, "_runs", runs):
         assert verify_engines(4, 6).passed
     longer = [sequence for sequence in FAMILIES_4_6 if len(sequence) > 4]
-    assert bytewise == {(sequence, label) for sequence in longer for label in ("mtf", "trans", "fc")} | {
-        ((4, 4, 4, 4, 4, 1), "vfc[strict]"), ((1, 2, 2, 2, 2, 1), "vfc[strict]")}
+    handed_off = {((4, 4, 4, 4, 4, 1), "vfc[strict]"), ((1, 2, 2, 2, 2, 1), "vfc[strict]")}
+    assert bytewise == {(sequence, label) for sequence in longer for label in ("mtf", "trans", "fc")} | handed_off
+    assert by_runs == {(sequence, "fc") for sequence in longer if sequence != (1, 2, 2, 2, 1)} | handed_off
 
 
 @pytest.mark.parametrize("model", list(CostModel))
