@@ -8,9 +8,8 @@ oracles for small instances, and CSV / SVG comparison reporting.
 ``import listlab`` loads none of the submodules. Each exported name is
 loaded on first use, from the module ``_EXPORTS`` gives for it, and then
 bound here; a submodule name (``listlab.oracle``) loads that module. Without
-a bytecode cache every module imported is compiled from source: all seven
-took about 15 ms on top of a 35 ms interpreter start (Python 3.11, 2 vCPUs),
-while a caller of ``run_algorithm`` needs only ``algorithms`` and ``listcore``.
+a bytecode cache every module imported is compiled from source, while a
+caller of ``run_algorithm`` needs only ``algorithms`` and ``listcore``.
 ``listlab.cli`` still imports every module at its top: the benchmark
 replaces the functions it calls by setting them on ``listlab.cli``, so each
 must be one of its globals.

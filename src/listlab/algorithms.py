@@ -80,12 +80,12 @@ values that ``run_algorithm`` converts) and every symbol is an int in 0..255.
 Bytewise, TRANS and FC's loop (so FC, and strict VFC's hand-off to it) read a
 request's index j from a 256-slot list, ``None`` where no symbol sits. The
 requests must be bytes, as a list read at -1 would serve 255, and the symbols
-must fit a slot, as a move rewrites theirs: TRANS the two it swaps, FC's loop
-those of ``order[c:j + 1]`` after ``_promote`` moves the element from j to c,
-which few steps do. MTF's move to the head shifts every symbol before it,
-too many to rewrite, so a bytewise MTF call packs the order into a
-``bytearray``, written back at the end: ``index`` is a memchr, and a move
-shifts bytes; TRANS and FC are slower packed than slotted. A packed
+must fit a slot, as a move rewrites theirs: TRANS the two it swaps, and
+``_promote``, for FC's loop, those of ``order[c:j + 1]`` when it moves the
+element from j to c, which few steps do. MTF's move to the head shifts every
+symbol before it, too many to rewrite, so a bytewise MTF call packs the order
+into a ``bytearray``, written back at the end: ``index`` is a memchr, and a
+move shifts bytes; TRANS and FC are slower packed than slotted. A packed
 ``index`` costs more than the list's at the head, where MTF left the request
 it served last, so a repeat costs ``costs[0]`` with no lookup. Every other
 call scans: a one-step call makes one lookup, too few to pay for slots or
@@ -109,7 +109,10 @@ counters there alone until the run ends). It serves every step that starts
 before ``stop``, windows clipped at the sequence's end, charging
 ``costs[j]`` for an access at index j plus one unit per extra consumed
 request, and returns the cursor after its last step and the cost charged.
-A kernel only serves; ``run_algorithm`` records the steps.
+A kernel only serves: a lookup that misses raises a scan's ``ValueError``, or
+a ``None`` slot's ``TypeError``. ``run_algorithm`` records the steps; after a
+miss it names the first unlisted request, or, if every request is listed,
+reports a lost symbol, as it does a final order that is no permutation.
 """
 
 from bisect import bisect_right
@@ -171,21 +174,24 @@ class RunReport(_Record):
         self.label, self.total_cost, self.steps, self.final_state = label, total_cost, steps, final_state
 
 
-def _promote(order: list[Symbol], neg: list[int], j: int, f: int) -> int:
+def _promote(order: list[Symbol], neg: list[int], j: int, f: int, pos: list[int | None] | None = None) -> int:
     """Give ``order[j]`` the counter ``f``, move it where the FC rule puts
     it and return its new index; ``neg`` holds the counters negated.
 
     The element must move: ``j > 0`` and ``neg[j - 1] > -f``, that is, the
     counter before it is below ``f``. The kernels write the counter of an
     element that stays put themselves. Moving it to c shifts ``order[c:j]``
-    one place back, so a caller that maps symbols to indices rewrites the
-    entries of ``order[c:j + 1]``."""
+    one place back, so ``pos``, a slot list if given, gets the new index of
+    every symbol in ``order[c:j + 1]``."""
     c = bisect_right(neg, -f, 0, j)
     if c and neg[c - 1] == -f:
         c -= 1
     order.insert(c, order.pop(j))
     del neg[j]
     neg.insert(c, -f)
+    if pos is not None:
+        for i in range(c, j + 1):
+            pos[order[i]] = i
     return c
 
 
@@ -229,43 +235,36 @@ def _mtf(order, neg, sequence, cursor, stop, costs):
     total = 0
     packed = bytearray(order) if _bytewise(order, sequence, cursor, stop) else order
     previous = object()  # the request this call served last, now at the head; none yet, not even None
-    try:
-        for request in sequence[cursor:stop]:
-            if request == previous:
-                total += costs[0]
-                continue
-            previous = request
-            j = packed.index(request)
-            packed.insert(0, packed.pop(j))  # j is 0 only on a call's first request
-            total += costs[j]
-    except ValueError:  # every earlier request was served, so this is its first occurrence
-        raise SymbolNotInList(request, sequence.index(request, cursor)) from None
-    finally:
-        if packed is not order:
-            order[:] = packed
+    for request in sequence[cursor:stop]:
+        if request == previous:
+            total += costs[0]
+            continue
+        previous = request
+        j = packed.index(request)
+        packed.insert(0, packed.pop(j))  # j is 0 only on a call's first request
+        total += costs[j]
+    if packed is not order:
+        order[:] = packed
     return stop, total
 
 
 def _trans(order, neg, sequence, cursor, stop, costs):
     total = 0
-    try:
-        if _bytewise(order, sequence, cursor, stop):
-            pos = _slots(order)
-            for request in sequence[cursor:stop]:
-                j = pos[request]
-                if j:
-                    other = order[j - 1]
-                    order[j - 1], order[j] = request, other
-                    pos[request], pos[other] = j - 1, j
-                total += costs[j]
-        else:
-            for request in sequence[cursor:stop]:
-                j = order.index(request)
-                if j:
-                    order[j - 1], order[j] = order[j], order[j - 1]
-                total += costs[j]
-    except (TypeError, ValueError):  # TypeError: an unlisted byte reads None
-        raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+    if _bytewise(order, sequence, cursor, stop):
+        pos = _slots(order)
+        for request in sequence[cursor:stop]:
+            j = pos[request]
+            if j:
+                other = order[j - 1]
+                order[j - 1], order[j] = request, other
+                pos[request], pos[other] = j - 1, j
+            total += costs[j]
+    else:
+        for request in sequence[cursor:stop]:
+            j = order.index(request)
+            if j:
+                order[j - 1], order[j] = order[j], order[j - 1]
+            total += costs[j]
     return stop, total
 
 
@@ -276,54 +275,42 @@ def _counting(batching: bool) -> Kernel:
         total = 0
         pos = _slots(order) if _bytewise(order, sequence, cursor, stop) else None
         lengths = _runs(sequence, cursor, stop) if pos else None
-        try:
-            if lengths:
-                at = cursor
-                for rest in lengths:  # a run of L = rest requests for s = request, at index j
-                    request = sequence[at]
-                    at += rest
-                    j = pos[request]
-                    if batching and 0 < (b := neg[j] - neg[0]) < rest:  # b = B - 1, and the run settles its batch
-                        total += costs[j] + b + (rest - 1 - b) * costs[0]
-                        _promote(order, neg, j, rest - neg[j])
-                        for i in range(j + 1):
-                            pos[order[i]] = i
-                        continue
-                    while j and (gap := neg[j] - neg[j - 1]) < rest:  # s moves on the request after the gap
-                        total += costs[j] * (gap + 1)
-                        rest -= gap + 1
-                        neg[j] = g = neg[j - 1]  # as the moving request finds it
-                        c = _promote(order, neg, j, 1 - g)
-                        for i in range(c, j + 1):
-                            pos[order[i]] = i
-                        j = c
-                    total += costs[j] * rest
-                    neg[j] -= rest
-                return stop, total
-            previous = object()  # the request this call served last, none yet; a repeat keeps its index j
-            for request in sequence[cursor:stop]:
-                if request != previous:
-                    previous = request
-                    j = pos[request] if pos else order.index(request)
-                    head = batching  # True until the run's first repeat reads its window
-                elif head:  # strict VFC settles the run's batch on the request that finds s at f_head
-                    if head is True:  # -f_head, or 0 when the run's first step opened no window
-                        head = neg[0] if j or neg[1:2] == neg[:1] else 0
-                        settled = total + neg[j] - head + 1  # the total after the first step, plus B - 1
-                    if neg[j] == head:  # the B-th request
-                        total, head = settled - costs[j], 0
-                g = neg[j]
-                total += costs[j]
-                if j and neg[j - 1] == g:
-                    c = _promote(order, neg, j, 1 - g)
-                    if pos:  # order[c:j + 1] moved
-                        for i in range(c, j + 1):
-                            pos[order[i]] = i
-                    j = c
-                else:
-                    neg[j] = g - 1
-        except (TypeError, ValueError):  # TypeError: an unlisted byte reads None
-            raise SymbolNotInList(request, sequence.index(request, cursor)) from None
+        if lengths:
+            at = cursor
+            for rest in lengths:  # a run of L = rest requests for s = request, at index j
+                request = sequence[at]
+                at += rest
+                j = pos[request]
+                if batching and 0 < (b := neg[j] - neg[0]) < rest:  # b = B - 1, and the run settles its batch
+                    total += costs[j] + b + (rest - 1 - b) * costs[0]
+                    _promote(order, neg, j, rest - neg[j], pos)
+                    continue
+                while j and (gap := neg[j] - neg[j - 1]) < rest:  # s moves on the request after the gap
+                    total += costs[j] * (gap + 1)
+                    rest -= gap + 1
+                    neg[j] = g = neg[j - 1]  # as the moving request finds it
+                    j = _promote(order, neg, j, 1 - g, pos)
+                total += costs[j] * rest
+                neg[j] -= rest
+            return stop, total
+        previous = object()  # the request this call served last, none yet; a repeat keeps its index j
+        for request in sequence[cursor:stop]:
+            if request != previous:
+                previous = request
+                j = pos[request] if pos else order.index(request)
+                head = batching  # True until the run's first repeat reads its window
+            elif head:  # strict VFC settles the run's batch on the request that finds s at f_head
+                if head is True:  # -f_head, or 0 when the run's first step opened no window
+                    head = neg[0] if j or neg[1:2] == neg[:1] else 0
+                    settled = total + neg[j] - head + 1  # the total after the first step, plus B - 1
+                if neg[j] == head:  # the B-th request
+                    total, head = settled - costs[j], 0
+            g = neg[j]
+            total += costs[j]
+            if j and neg[j - 1] == g:
+                j = _promote(order, neg, j, 1 - g, pos)
+            else:
+                neg[j] = g - 1
         return stop, total
 
     return serve
@@ -341,29 +328,26 @@ def _vfc(strict: bool) -> Kernel:
             while r > cursor and sequence[r - 1] == sequence[stop - 1]:
                 r -= 1
             cursor, total = batched(order, neg, sequence, cursor, r, costs)
-        try:
-            while cursor < stop:
-                request = sequence[cursor]
-                consumed = 1
-                j = order.index(request)
-                # a window opens when the head's counter is above the request's; a homogeneous
-                # one starts and ends with a repeat, so strict tests both before slicing it
-                if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
-                    end = min(cursor - neg[0] + neg[j] + 1, n)
-                    if not strict:
-                        if request in sequence[cursor + 1:end]:
-                            consumed = end - cursor
-                    elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
+        while cursor < stop:
+            request = sequence[cursor]
+            consumed = 1
+            j = order.index(request)
+            # a window opens when the head's counter is above the request's; a homogeneous
+            # one starts and ends with a repeat, so strict tests both before slicing it
+            if (not strict or cursor + 1 < n and sequence[cursor + 1] == request) and neg[0] < neg[j]:
+                end = min(cursor - neg[0] + neg[j] + 1, n)
+                if not strict:
+                    if request in sequence[cursor + 1:end]:
                         consumed = end - cursor
-                f = consumed - neg[j]
-                total += costs[j] + consumed - 1
-                cursor += consumed
-                if j and neg[j - 1] > -f:
-                    _promote(order, neg, j, f)
-                else:
-                    neg[j] = -f
-        except ValueError:
-            raise SymbolNotInList(request, cursor) from None
+                elif sequence[end - 1] == request and sequence[cursor:end].count(request) == end - cursor:
+                    consumed = end - cursor
+            f = consumed - neg[j]
+            total += costs[j] + consumed - 1
+            cursor += consumed
+            if j and neg[j - 1] > -f:
+                _promote(order, neg, j, f)
+            else:
+                neg[j] = -f
         return cursor, total
 
     return serve
@@ -404,6 +388,10 @@ def run_algorithm(
     and reads each record's position back from that step's charge.
     ``snapshots=True`` keeps the records whatever ``keep_trace`` says, and also
     captures the order and counters after each.
+
+    If a lookup missed, the first request outside ``state.order`` raises
+    :class:`SymbolNotInList`; a literal batch may swallow one unseen. A kernel
+    that loses, invents or repeats a symbol raises ``RuntimeError``.
     """
     order = list(state.order)
     neg = [-state.freq[s] for s in order]
@@ -420,21 +408,26 @@ def run_algorithm(
     serve = _KERNELS[label]
     costs = _access_costs(model, len(order))
     trace: list[StepRecord] = []
-    if keep_trace or snapshots:  # one step a call, to record each
-        cursor = total = 0
-        while cursor < len(sequence):
-            after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
-            total += cost
-            consumed = after - cursor  # the step charged costs[j] + consumed - 1 for position j + 1
-            trace.append(StepRecord(sequence[cursor], cost - costs[0] - consumed + 2, cost, consumed,
-                                    tuple(order) if snapshots else None, counters() if snapshots else None))
-            cursor = after
-    else:
-        if isinstance(sequence, (list, tuple)):  # bytes() of another buffer copies its raw memory
-            with suppress(TypeError, ValueError):  # a request that is no int in 0..255: not bytewise
-                sequence = bytes(sequence)
-        total = serve(order, neg, sequence, 0, len(sequence), costs)[1]
-    final = dict(zip(order, counters()))
-    if len(final) != len(order):  # the input state's symbols were distinct, so a kernel broke it
-        raise RuntimeError(f"{label} left the list {order}, which repeats a symbol")
-    return RunReport(label, total, trace, ListState(order, final))
+    try:
+        if keep_trace or snapshots:  # one step a call, to record each
+            cursor = total = 0
+            while cursor < len(sequence):
+                after, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
+                total += cost
+                consumed = after - cursor  # the step charged costs[j] + consumed - 1 for position j + 1
+                trace.append(StepRecord(sequence[cursor], cost - costs[0] - consumed + 2, cost, consumed,
+                                        tuple(order) if snapshots else None, counters() if snapshots else None))
+                cursor = after
+        else:
+            if isinstance(sequence, (list, tuple)):  # bytes() of another buffer copies its raw memory
+                with suppress(TypeError, ValueError):  # a request that is no int in 0..255: not bytewise
+                    sequence = bytes(sequence)
+            total = serve(order, neg, sequence, 0, len(sequence), costs)[1]
+    except (TypeError, ValueError) as err:  # a lookup missed: a scan's ValueError, or a None slot's TypeError
+        for index, request in enumerate(sequence):
+            if request not in state.order:
+                raise SymbolNotInList(request, index) from None
+        raise RuntimeError(f"{label} lost a symbol of the list {state.order}: {err}") from None
+    if len(order) != len(state.order) or set(order) != set(state.order):  # the input state's symbols are distinct
+        raise RuntimeError(f"{label} left the list {order}, not a permutation of {state.order}")
+    return RunReport(label, total, trace, ListState(order, dict(zip(order, counters()))))

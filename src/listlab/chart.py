@@ -4,8 +4,7 @@ No plotting library is involved: the document is assembled from strings, so
 identical rows always produce byte-identical output. ``_escape`` replaces
 ``&``, ``<``, ``>`` and ``"`` in every label, which is all that text and
 double-quoted attributes need. ``xml.sax.saxutils.escape`` is not used: it
-leaves ``"`` alone, and importing it loads urllib, http, email and ssl, some
-25 ms of start-up.
+leaves ``"`` alone, and importing it loads urllib, http, email and ssl.
 """
 
 from .listcore import ListLabError

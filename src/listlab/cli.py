@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration or input error, 2 verification found
 a violated property, 3 an engine broke an internal invariant: a full-model
-total below n, a repeated symbol, or verify's walk disagreeing with a rerun.
+total below n, a lost, invented or repeated symbol, or verify's walk
+disagreeing with a rerun.
 """
 
 import argparse

@@ -49,7 +49,7 @@ class CostModel(Enum):
 
 class _Record:
     """Field-wise ``==`` and ``Name(field=value, ...)`` repr over ``_fields``, and no
-    hash, as ``@dataclass`` makes them; importing ``dataclasses`` costs ~20 ms of start-up."""
+    hash, as ``@dataclass`` makes them, without the start-up cost of importing ``dataclasses``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

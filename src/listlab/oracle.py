@@ -24,12 +24,11 @@ against an optimum of 7). Strict-policy batches consume only repeats of the
 accessed symbol. Accessing it at p, moving it to the front for free and
 serving the other B - 1 repeats at the head costs p + (B - 1) under the full
 model, the batch's charge, and p - 1 under the partial one, at most the
-batch's (p - 1) + (B - 1). An uncut batch also leaves FC's state, the symbol
-at the head (argued in :mod:`listlab.algorithms`); a cut one (clipped at the
-sequence's end) may not, but it ends the run. So no charge is below a
-serving strategy's cost, dominance holds for strict VFC under both models,
-and the check covers MTF, TRANS, FC and strict VFC on every instance, and
-literal VFC only on runs whose batches swallowed nothing.
+batch's (p - 1) + (B - 1). That strategy leaves the list an uncut batch
+leaves (:mod:`listlab.algorithms`), and a cut one ends the run. So no charge
+is below a serving strategy's cost, dominance holds for strict VFC under both
+models, and the check covers MTF, TRANS, FC and strict VFC on every instance,
+and literal VFC only on runs whose batches swallowed nothing.
 
 The instances come in lexicographic order, so the one before each instance
 is its parent (the instance one request shorter) or extends it. Rather than
@@ -348,6 +347,8 @@ def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list
     window reaching past the end, so every step taken holds for any extension."""
     order, neg, cursor, total, unsorted, batches, swallowed = run
     end = len(sequence)
+    if cursor == end:  # every request is served: nothing to copy
+        return run
     label, serve, lookahead, counting = config
     order = order[:]  # the chain shares the run's lists
     if counting:
@@ -369,7 +370,7 @@ def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list
                         batches += ((after, f"{label} batch on {request} left head {order[0]}"),)
                     swallowed |= sequence[cursor:after].count(request) != after - cursor
             cursor = after
-    except (SymbolNotInList, ValueError) as err:  # from the kernel, or the window test's lookup
+    except ValueError as err:  # a scan missed, in the kernel or the window test: one-step calls build no slots
         # every request is listed, so a step lost a symbol; the walk's instances differ only in sequence
         raise RuntimeError(f"{label} lost a symbol of the list serving seq={sequence}: {err}") from None
     return order, neg, cursor, total, unsorted, batches, swallowed

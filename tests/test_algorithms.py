@@ -326,14 +326,12 @@ class TestRunAlgorithm:
         assert exc.value.request_index == 1
 
     def test_literal_batch_swallows_an_absent_request(self):
-        # the batch on 2 at index 2 consumes (2, 9, 2), so the first request
-        # served that is not listed is the 7, not the earlier 9
-        with pytest.raises(SymbolNotInList) as exc:
-            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, LITERAL, keep_trace=False)
-        assert (exc.value.symbol, exc.value.request_index) == (7, 5)
-        with pytest.raises(SymbolNotInList) as exc:
-            run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, STRICT, keep_trace=False)
-        assert (exc.value.symbol, exc.value.request_index) == (9, 3)
+        # literal's batch on 2 at index 2 consumes (2, 9, 2), so its first lookup that
+        # misses is the 7's; under both policies the error names the first unlisted request
+        for policy in (LITERAL, STRICT):
+            with pytest.raises(SymbolNotInList) as exc:
+                run_algorithm(AlgorithmKind.VFC, state([1, 2]), (1, 1, 2, 9, 2, 7), FULL, policy, keep_trace=False)
+            assert (exc.value.symbol, exc.value.request_index) == (9, 3)
 
     @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda c: f"{c[0].value}-{c[1].value}")
     @pytest.mark.parametrize(
@@ -489,10 +487,10 @@ def test_promotion_search_runs_only_on_steps_that_move(case, configuration, mode
     real, real_runs = listlab.algorithms._promote, listlab.algorithms._runs
     calls, by_runs = [], []
 
-    def promote(order, neg, j, f):
+    def promote(order, neg, j, f, pos=None):
         calls.append(-sum(neg))
         symbol = order[j]
-        c = real(order, neg, j, f)
+        c = real(order, neg, j, f, pos)
         assert order[c] == symbol
         return c
 
@@ -652,9 +650,9 @@ def test_whole_call_raises_for_the_first_unlisted_request(label, order, sequence
     ``SymbolNotInList`` naming the first unlisted request and its index: an
     unlisted byte finds no slot, and no request outside 0..255 is served
     as the symbol whose slot it would wrap around to."""
-    serve = listlab.algorithms._KERNELS[label]
+    (kind, policy), = [c for c in CONFIGURATIONS if listlab.algorithms._label(*c) == label]
     with pytest.raises(SymbolNotInList) as exc:
-        serve(list(order), [0] * len(order), sequence, 0, len(sequence), listlab.algorithms._access_costs(FULL, 2))
+        run_algorithm(kind, state(order), sequence, FULL, policy, keep_trace=False)
     assert (exc.value.symbol, exc.value.request_index) == absent
 
 

@@ -149,8 +149,8 @@ class TestInternalError:
         whole run of (2, 2), which the walk reruns from scratch."""
         real = listlab.algorithms._promote
 
-        def stale(order, neg, j, f):
-            real(order, neg, j, f)
+        def stale(order, neg, j, f, pos=None):
+            real(order, neg, j, f, pos)
             return j
 
         monkeypatch.setattr(listlab.algorithms, "_promote", stale)
@@ -169,7 +169,7 @@ class TestInternalError:
         assert code == 3
         (line,) = err.splitlines()
         assert line.startswith("internal error: SmallInstance(order=(1, 2, 3, 4), sequence=(1, 2, 2, 2, 1)")
-        assert line.endswith("a whole run: trans left the list [1, 2, 1, 4], which repeats a symbol")
+        assert line.endswith("a whole run: trans left the list [1, 2, 1, 4], not a permutation of [1, 2, 3, 4]")
 
     @staticmethod
     def _verify_walking(monkeypatch, label, kernel, max_seq_len):
@@ -185,21 +185,18 @@ class TestInternalError:
 
     def test_verify_walk_step_that_loses_a_symbol(self, monkeypatch):
         """A TRANS step that writes the request over its predecessor instead of swapping
-        them loses 1 on (1, 1, 2), so the kernel meets an unlisted 1 on (1, 1, 2, 1): a
-        broken engine, not bad input."""
+        them loses 1 on (1, 1, 2), so the kernel's lookup misses the listed 1 on
+        (1, 1, 2, 1): a broken engine, not bad input."""
 
         def overwriting(order, neg, sequence, cursor, stop, costs):
             request = sequence[cursor]
-            if request not in order:
-                raise listlab.SymbolNotInList(request, cursor)
             j = order.index(request)
             if j:
                 order[j - 1] = request
             return cursor + 1, costs[j]
 
         line = self._verify_walking(monkeypatch, "trans", overwriting, "4")
-        assert line == ("internal error: trans lost a symbol of the list serving seq=(1, 1, 2, 1): "
-                        "symbol 1 is not in the list (request index 3)")
+        assert line == "internal error: trans lost a symbol of the list serving seq=(1, 1, 2, 1): 1 is not in list"
 
     def test_verify_window_test_that_meets_a_lost_symbol(self, monkeypatch):
         """A literal VFC step that writes the third symbol over the second once 2 is at the
@@ -226,7 +223,46 @@ class TestInternalError:
         monkeypatch.setitem(listlab.algorithms._KERNELS, "mtf", duplicating)
         code, out, err = run_cli(["run", "--demo", "--algos", "mtf"])
         assert (code, out) == (3, "")
-        assert err == "internal error: mtf left the list [3, 2, 3], which repeats a symbol\n"
+        assert err == "internal error: mtf left the list [3, 2, 3], not a permutation of [1, 2, 3]\n"
+
+    def test_run_with_a_kernel_that_loses_a_symbol_after_serving(self, monkeypatch):
+        """No lookup misses, so only the end check sees the shorter list."""
+        real = listlab.algorithms._KERNELS["mtf"]
+
+        def losing(order, *args):
+            served = real(order, *args)
+            order.pop()
+            return served
+
+        monkeypatch.setitem(listlab.algorithms._KERNELS, "mtf", losing)
+        code, out, err = run_cli(["run", "--demo", "--algos", "mtf"])
+        assert (code, out) == (3, "")
+        assert err == "internal error: mtf left the list [3, 2], not a permutation of [1, 2, 3]\n"
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["whole", "traced"])
+    @pytest.mark.parametrize("algo", ["mtf", "trans", "fc", "vfc"])
+    def test_run_with_a_kernel_that_loses_a_symbol_it_then_looks_up(self, monkeypatch, algo, trace):
+        """The demo's list is (1, 2, 3). The kernel serves the first half of its first call, drops 3, then
+        serves the rest: whole, the rest (3, 3, 3) is a bytewise call, so MTF's packed list misses 3 and
+        TRANS's and FC's slot lists read None for it; traced, the first call's first half is empty. Every
+        request is listed, so the miss is the engine's fault, not the input's."""
+        label = "vfc[literal]" if algo == "vfc" else algo
+        real = listlab.algorithms._KERNELS[label]
+        dropped = []
+
+        def losing(order, neg, sequence, cursor, stop, costs):
+            middle = (cursor + stop) // 2
+            cursor, total = real(order, neg, sequence, cursor, middle, costs)
+            if not dropped:
+                dropped.append((order.pop(), neg.pop()))
+            cursor, rest = real(order, neg, sequence, cursor, stop, costs)
+            return cursor, total + rest
+
+        monkeypatch.setitem(listlab.algorithms._KERNELS, label, losing)
+        code, out, err = run_cli(["run", "--demo", "--algos", algo] + ["--trace"] * trace)
+        assert (code, out, dropped) == (3, "", [(3, 0)])
+        (line,) = err.splitlines()
+        assert line.startswith(f"internal error: {label} lost a symbol of the list [1, 2, 3]: ")
 
 
 def test_trace_prints_batched_step():

@@ -181,7 +181,7 @@ class TestEnumeration:
 
 
 def _promote_counter_only(real):
-    def promote(order, neg, j, f):
+    def promote(order, neg, j, f, pos=None):
         neg[j] = -f
         return j
 
@@ -189,25 +189,28 @@ def _promote_counter_only(real):
 
 
 def _promote_batch_in_place(real):
-    def promote(order, neg, j, f):
+    def promote(order, neg, j, f, pos=None):
         if f + neg[j] > 1:  # a batch: the counter grows by more than one
             neg[j] = -f
             return j
-        return real(order, neg, j, f)
+        return real(order, neg, j, f, pos)
 
     return promote
 
 
 def _promote_one_too_many(real):
-    return lambda order, neg, j, f: real(order, neg, j, f + 1)
+    return lambda order, neg, j, f, pos=None: real(order, neg, j, f + 1, pos)
 
 
 def _promote_ignoring_ties(real):
-    def promote(order, neg, j, f):  # the FC rule without its tie step: always to c
+    def promote(order, neg, j, f, pos=None):  # the FC rule without its tie step: always to c
         c = bisect_right(neg, -f, 0, j)
         order.insert(c, order.pop(j))
         del neg[j]
         neg.insert(c, -f)
+        if pos is not None:  # the slots of what moved, so this stays the one fault
+            for i in range(c, j + 1):
+                pos[order[i]] = i
         return c
 
     return promote
@@ -470,8 +473,8 @@ def test_prefix_walk_refuses_a_whole_run_that_disagrees_with_the_walk(monkeypatc
     walk serves one step a call, so only the whole-run check sees it."""
     real = listlab.algorithms._promote
 
-    def stale(order, neg, j, f):
-        real(order, neg, j, f)
+    def stale(order, neg, j, f, pos=None):
+        real(order, neg, j, f, pos)
         return j
 
     monkeypatch.setattr(listlab.algorithms, "_promote", stale)
