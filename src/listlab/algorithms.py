@@ -75,7 +75,7 @@ is shorter than B, by the list above.
 
 A call is bytewise, as ``_bytewise`` decides for every kernel, when it serves
 more requests than the list has symbols, its requests are ``bytes`` or a
-``bytearray`` (a corpus file after ``preprocess``, or a list or tuple of byte
+``bytearray`` (a corpus file after ``preprocess``, or another sequence of byte
 values that ``run_algorithm`` converts) and every symbol is an int in 0..255.
 Bytewise, TRANS and FC's loop (so FC, and strict VFC's hand-off to it) read a
 request's index j from a 256-slot list, ``None`` where no symbol sits. The
@@ -100,25 +100,24 @@ requests repeat (CHANGES.md). ``_runs`` finds the runs in C: with the
 requests read as one integer a, the bytes of ``a ^ a >> 8`` are 0 exactly at
 repeats, and as line ends they let ``splitlines`` cut after each run.
 
-One range kernel per engine; VFC's policies share one, built per policy,
-whose batch trigger and strict's hand-off to FC's loop are its only
-branches on the policy. A kernel,
+One range kernel per engine; VFC's policies share one, built per policy, whose
+batch trigger and strict's hand-off to FC's loop are its only branches on the
+policy. ``CONFIGURATIONS`` holds the five configurations by label, each with
+its kind, policy, kernel and traits. A kernel,
 ``serve(order, neg, sequence, cursor, stop, costs) -> (cursor, total)``,
-works over the order and the negated counters (FC and VFC keep their
-counters there alone until the run ends). It serves every step that starts
-before ``stop``, windows clipped at the sequence's end, charging
-``costs[j]`` for an access at index j plus one unit per extra consumed
-request, and returns the cursor after its last step and the cost charged.
-A kernel only serves: a lookup that misses raises a scan's ``ValueError``, or
-a ``None`` slot's ``TypeError``. ``run_algorithm`` records the steps; after a
-miss it names the first unlisted request, or, if every request is listed,
-reports a lost symbol, as it does a final order that is no permutation.
+works over the order and the negated counters (FC and VFC keep their counters
+there alone until the run ends). It serves every step that starts before
+``stop``, windows clipped at the sequence's end, charging ``costs[j]`` for an
+access at index j plus one unit per extra consumed request, and returns the
+cursor after its last step and the cost charged. A kernel only serves: a
+lookup that misses raises a scan's ``ValueError``, or a ``None`` slot's
+``TypeError``; ``run_algorithm`` tells bad input from a lost symbol.
 """
 
 from bisect import bisect_right
 from contextlib import suppress
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .listcore import (
     CostModel,
@@ -164,8 +163,8 @@ class VfcPolicy(Enum):
 class RunReport(_Record):
     """The step records and total access cost of one engine run.
 
-    ``label`` names the engine that ran: ``mtf``, ``trans``, ``fc``,
-    ``vfc[literal]`` or ``vfc[strict]``; every output keys its totals by it.
+    ``label`` names the configuration that ran, its key in ``CONFIGURATIONS``;
+    every output keys its totals by it.
     """
 
     _fields = ("label", "total_cost", "steps", "final_state")
@@ -353,14 +352,17 @@ def _vfc(strict: bool) -> Kernel:
     return serve
 
 
-_KERNELS: dict[str, Kernel] = {
-    "mtf": _mtf, "trans": _trans, "fc": _counting(False), "vfc[literal]": _vfc(False), "vfc[strict]": _vfc(True),
+# a configuration: its kind, VFC policy (literal for the others) and kernel, whether it keeps counters, reads a window
+Configuration = NamedTuple("Configuration", [("kind", AlgorithmKind), ("policy", VfcPolicy), ("serve", Kernel),
+                                             ("counting", bool), ("lookahead", bool)])
+# every configuration, keyed by its label (see RunReport); run_algorithm and verify's walk read it at each call
+CONFIGURATIONS: dict[str, Configuration] = {
+    "mtf": Configuration(AlgorithmKind.MTF, VfcPolicy.LITERAL, _mtf, False, False),
+    "trans": Configuration(AlgorithmKind.TRANS, VfcPolicy.LITERAL, _trans, False, False),
+    "fc": Configuration(AlgorithmKind.FC, VfcPolicy.LITERAL, _counting(False), True, False),
+    "vfc[literal]": Configuration(AlgorithmKind.VFC, VfcPolicy.LITERAL, _vfc(False), True, True),
+    "vfc[strict]": Configuration(AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS, _vfc(True), True, True),
 }
-
-
-def _label(kind: AlgorithmKind, policy: VfcPolicy) -> str:
-    """The configuration's name in every output and its key in ``_KERNELS``; see :class:`RunReport`."""
-    return f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
 
 
 def _access_costs(model: CostModel | str, m: int) -> list[int]:
@@ -383,9 +385,10 @@ def run_algorithm(
 
     Every request is consumed exactly once across steps. ``keep_trace=False``
     drops the per-step records and serves the sequence in one kernel call, as
-    ``bytes`` if a list or tuple of ints in 0..255, so the call can be bytewise
+    ``bytes`` if its requests are ints in 0..255, so the call can be bytewise
     (module docstring); a run that records steps calls the kernel once a step,
-    and reads each record's position back from that step's charge.
+    and reads each record's position back from that step's charge. Any other
+    sequence than ``bytes``, a ``bytearray``, a list or a tuple is read as a tuple.
     ``snapshots=True`` keeps the records whatever ``keep_trace`` says, and also
     captures the order and counters after each.
 
@@ -393,9 +396,12 @@ def run_algorithm(
     :class:`SymbolNotInList`; a literal batch may swallow one unseen. A kernel
     that loses, invents or repeats a symbol raises ``RuntimeError``.
     """
+    label = f"vfc[{policy.value}]" if kind is AlgorithmKind.VFC else kind.value
+    _, _, serve, counting, _ = CONFIGURATIONS[label]
+    if not isinstance(sequence, (bytes, bytearray, list, tuple)):  # a deque has no slice, a memoryview no count
+        sequence = tuple(sequence)
     order = list(state.order)
     neg = [-state.freq[s] for s in order]
-    counting = kind is AlgorithmKind.FC or kind is AlgorithmKind.VFC
     if counting and neg != sorted(neg):
         raise UnsortedCounters(
             f"counters {tuple(-c for c in neg)} increase along the list; FC and VFC "
@@ -404,8 +410,6 @@ def run_algorithm(
     # FC and VFC keep their counters in neg alone; MTF and TRANS keep the input's
     freq = state.freq
     counters = (lambda: tuple([-c for c in neg])) if counting else (lambda: tuple([freq[s] for s in order]))
-    label = _label(kind, policy)
-    serve = _KERNELS[label]
     costs = _access_costs(model, len(order))
     trace: list[StepRecord] = []
     try:

@@ -30,22 +30,27 @@ is below a serving strategy's cost, dominance holds for strict VFC under both
 models, and the check covers MTF, TRANS, FC and strict VFC on every instance,
 and literal VFC only on runs whose batches swallowed nothing.
 
-The instances come in lexicographic order, so the one before each instance
-is its parent (the instance one request shorter) or extends it. Rather than
+The instances come in lexicographic order, so the one before each instance is
+its parent (the instance one request shorter) or extends it. Rather than
 rerun the engines per instance, the walk keeps what serving each prefix of
 the current instance left and extends the parent's state by one request,
-driving the kernels of ``run_algorithm`` one step a call. MTF, TRANS and FC
-are online, so that state is the prefix's own: they are not served again. A
-VFC step reads a window of later requests, clipped at the sequence's end, so
-the chain commits only steps whose unclipped window lies in the prefix, and
-each instance serves the rest over its own end. Both references are online
-too: each prefix keeps the FC reference's (symbol, counter) entries and
-total and OPT's ``reach``, moved one request forward by the steps of
-``naive_fc_step_costs`` and ``opt_free_exchange_cost``. Nothing extends a
-leaf, an instance of the bound's length, so it commits nothing, and its OPT
-is the least ``reach[at]`` plus the request's index in order ``at`` and the
-head's cost: every order may leave the requested element in place, so the
-last free exchanges cannot lower it. A slip in the chain would feed both
+driving the kernels of ``algorithms.CONFIGURATIONS``, read at each call of
+:func:`verify_engines`, one step a call. A run's state is a tuple ``(order,
+neg, cursor, total, unsorted, batches, swallowed)``: the list, its negated
+counters, the requests consumed, the cost charged, the first step after which
+the counters increase, a (cursor after, detail) pair per batch that left
+another head, and whether a batch swallowed a request for another symbol.
+MTF, TRANS and FC are online, so that state is the prefix's own: they are not
+served again. A VFC step reads a window of later requests, clipped at the
+sequence's end, so the chain commits only steps whose unclipped window lies
+in the prefix, and each instance serves the rest over its own end. Both
+references are online too: each prefix keeps the FC reference's (symbol,
+counter) entries and total and OPT's ``reach``, moved one request forward by
+the steps of ``naive_fc_step_costs`` and ``opt_free_exchange_cost``. Nothing
+extends a leaf, an instance of the bound's length, so it commits nothing, and
+its OPT is the least ``reach[at]`` plus the request's index in order ``at``
+and the head's cost: every order may leave the requested element in place, so
+the last free exchanges cannot lower it. A slip in the chain would feed both
 sides of every check, so the per-instance functions stay its oracle: the
 tests compare the two on every instance at small bounds.
 
@@ -73,8 +78,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from . import algorithms  # the walk reads _access_costs through it, so one patch reaches every run
-from .algorithms import _KERNELS, AlgorithmKind, Kernel, VfcPolicy, _label, run_algorithm
+from . import algorithms  # the walk reads CONFIGURATIONS and _access_costs through it, so one patch reaches every run
+from .algorithms import VfcPolicy, run_algorithm
 from .listcore import (CostModel, InvalidListState, ListLabError, ListState, RequestSequence, Symbol, SymbolNotInList,
                        _Frozen, _Record)
 
@@ -251,13 +256,7 @@ CHECKS = (
 )
 # the checks that hold only when accessing the head costs one
 FULL_MODEL_CHECKS = ("full-model-lower-bound",)
-# the engine configurations verify walks: mtf, trans, fc, vfc[literal], vfc[strict]
-RUNS = (*((kind, VfcPolicy.LITERAL) for kind in AlgorithmKind), (AlgorithmKind.VFC, VfcPolicy.STRICT_HOMOGENEOUS))
-# per configuration of RUNS: label, kernel, whether it reads a window (VFC), whether it keeps counters (FC, VFC)
-_CONFIGS = tuple((label, _KERNELS[label], kind is AlgorithmKind.VFC, kind in (AlgorithmKind.FC, AlgorithmKind.VFC))
-                 for kind, label in ((kind, _label(kind, policy)) for kind, policy in RUNS))
-_Config = tuple[str, Kernel, bool, bool]
-# a run after some requests: (order, neg, cursor, total, unsorted, batches, swallowed); see verify_engines
+# a run after some requests: (order, neg, cursor, total, unsorted, batches, swallowed); see the module docstring
 _State = tuple[list[Symbol], list[int], int, int, str | None, tuple[tuple[int, str], ...], bool]
 
 
@@ -296,7 +295,7 @@ def verify_engines(
     max_seq_len: int = 6,
     model: CostModel | str = CostModel.FULL,
 ) -> VerificationReport:
-    """Exhaustive cross-check of every engine against the oracles.
+    """Exhaustive cross-check of every engine configuration against the oracles.
 
     Per instance: the FC engine must match the independent reference total;
     the free-exchange optimum must not exceed the total of any engine that
@@ -310,28 +309,21 @@ def verify_engines(
     its ``FAILURE_LIMIT`` shortest counterexamples, those of one length in
     the walk's order and those of one instance in ``_failures`` order.
 
-    The engines' states and both references come from one walk over the
-    instances' prefixes (see the module docstring). A run's state is a tuple
-    ``(order, neg, cursor, total, unsorted, batches, swallowed)``: the list,
-    its negated counters, the requests consumed, the cost charged, the first
-    step after which the counters increase, a (cursor after, detail) pair per
-    batch that left another head, and whether a batch swallowed a request for
-    another symbol. Online runs are not served again once committed, and a
-    leaf's OPT skips its last free exchanges, which may leave the element in
-    place. On three families of instances (module docstring) the walk reruns
-    both references, and on an instance that passes every check each
-    configuration whole and VFC's reference. It raises ``RuntimeError`` (exit
-    3) naming the instance if a rerun breaks its list or disagrees with the
-    chain, or VFC with its reference, and naming the configuration and the
-    sequence if a step of the walk lost a symbol of the list.
+    Returns every check's result and the instance count. Raises
+    ``RuntimeError`` (exit 3) naming the instance if the walk's references
+    disagree with a pass from scratch, or a whole rerun breaks its list or
+    disagrees with the walk, or VFC with its reference, and naming the
+    configuration and the sequence if a step of the walk lost a symbol.
     """
     model = CostModel(model)
+    # the table, read at each call, as (label, kernel, lookahead, counting, kind, policy), faster to unpack
+    configs = [(k, c.serve, c.lookahead, c.counting, c.kind, c.policy) for k, c in algorithms.CONFIGURATIONS.items()]
     failures: dict[str, list[tuple[int, str]]] = {name: [] for name in CHECKS}  # (length, line)
     total = 0
-    for instance, runs, reference, opt in _prefix_runs(max_list_size, max_seq_len, model):
+    for instance, runs, reference, opt in _prefix_runs(max_list_size, max_seq_len, model, configs):
         total += 1
         n = len(instance.sequence)
-        for name, detail in _failures(instance, runs, reference, opt):
+        for name, detail in _failures(instance, configs, runs, reference, opt):
             kept = failures[name]
             if len(kept) < FAILURE_LIMIT or n < kept[-1][0]:  # insort puts it after every kept line of length n
                 insort(kept, (n, f"order={instance.order} seq={instance.sequence}: {detail}"), key=lambda k: k[0])
@@ -341,7 +333,7 @@ def verify_engines(
     return VerificationReport(checks, total)
 
 
-def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list[int], committed: bool) -> _State:
+def _served(run: _State, config: tuple, sequence: RequestSequence, costs: list[int], committed: bool) -> _State:
     """``run``, a state of ``config``, after ``sequence``, its kernel driven one
     step a call, so windows clip at the end; ``committed`` stops at the first
     window reaching past the end, so every step taken holds for any extension."""
@@ -349,7 +341,7 @@ def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list
     end = len(sequence)
     if cursor == end:  # every request is served: nothing to copy
         return run
-    label, serve, lookahead, counting = config
+    label, serve, lookahead, counting, _, _ = config
     order = order[:]  # the chain shares the run's lists
     if counting:
         neg = neg[:]
@@ -376,11 +368,13 @@ def _served(run: _State, config: _Config, sequence: RequestSequence, costs: list
     return order, neg, cursor, total, unsorted, batches, swallowed
 
 
-def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallInstance, list[_State], int, int]]:
-    """Yield each instance of ``enumerate_instances`` with the runs after
-    serving it, the FC reference's total and OPT. ``chain[k]`` holds what the
-    first k requests of the previous instance left: its runs, each committed,
-    the FC reference's (symbol, counter) entries and total, and OPT's ``reach``."""
+def _prefix_runs(m: int, n_max: int, model: CostModel,
+                 configs: list[tuple]) -> Iterator[tuple[SmallInstance, list[_State], int, int]]:
+    """Yield each instance of ``enumerate_instances`` with the runs of
+    ``configs`` after serving it, the FC reference's total and OPT. ``chain[k]``
+    holds what the first k requests of the previous instance left: its runs,
+    each committed, the FC reference's (symbol, counter) entries and total, and
+    OPT's ``reach``."""
     costs = algorithms._access_costs(model, m)
     head = _head_cost(model)
     # the instances rerun from scratch: see the module docstring
@@ -397,20 +391,20 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
             entries = entries[:]
             reference += _fc_step(entries, request, n - 1, head)
             # a leaf commits nothing, as nothing extends it (see the module docstring)
-            runs = [_served(run, config, sequence, costs, n < n_max) for run, config in zip(runs, _CONFIGS)]
+            runs = [_served(run, config, sequence, costs, n < n_max) for run, config in zip(runs, configs)]
             if n < n_max:
                 reach = _opt_step(reach, table, request, n - 1, head)
                 chain.append((runs, entries, reference, reach))
                 opt = min(reach.values())
                 # the online configurations' committed runs are already this instance's
                 runs = [_served(run, config, sequence, costs, False) if config[2] else run
-                        for run, config in zip(runs, _CONFIGS)]
+                        for run, config in zip(runs, configs)]
             else:
                 rows = table[request]
                 opt = min([cost + rows[at][0] for at, cost in reach.items()]) + head
         else:  # the empty instance comes first; every instance starts from its list, all counters zero
             table = _exchanges(instance.order)
-            runs = [(list(instance.order), [0] * m, 0, 0, None, (), False)] * len(RUNS)
+            runs = [(list(instance.order), [0] * m, 0, 0, None, (), False)] * len(configs)
             reference = opt = 0
             chain.append((runs, [(s, 0) for s in instance.order], 0, {0: 0}))
         if sequence in reruns:
@@ -420,8 +414,8 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
                 raise RuntimeError(f"{instance}: the prefix chain gives (reference, opt) {chained}, "
                                    f"a pass from scratch {expected}")
         # the engines' reruns look for faults no check sees: one that a check sees here is its counterexample
-        if sequence in reruns and not any(_failures(instance, runs, reference, opt)):
-            for (kind, policy), (label, *_), (order, neg, _, total, *_) in zip(RUNS, _CONFIGS, runs):
+        if sequence in reruns and not any(_failures(instance, configs, runs, reference, opt)):
+            for (label, _, lookahead, _, kind, policy), (order, neg, _, total, *_) in zip(configs, runs):
                 walked = ListState(order, dict(zip(order, [-c for c in neg])))
                 try:
                     whole = run_algorithm(kind, instance.to_state(), sequence, model, policy, keep_trace=False)
@@ -430,7 +424,7 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
                 if (total, walked) != (whole.total_cost, whole.final_state):
                     raise RuntimeError(f"{instance}: {label} walks to total {total}, {walked}; "
                                        f"a whole run to total {whole.total_cost}, {whole.final_state}")
-                if kind is AlgorithmKind.VFC:
+                if lookahead:  # VFC
                     entries = [(s, 0) for s in instance.order]
                     cost = sum(step[2] for step in _vfc_steps(entries, sequence, head, policy))
                     final = ListState([s for s, _ in entries], dict(entries))
@@ -440,16 +434,17 @@ def _prefix_runs(m: int, n_max: int, model: CostModel) -> Iterator[tuple[SmallIn
         yield instance, runs, reference, opt
 
 
-def _failures(instance: SmallInstance, runs: list[_State], reference: int, opt: int) -> Iterator[tuple[str, str]]:
-    """Yield (check, detail) for every check ``instance`` fails, given the runs after
-    serving it, the FC reference's total and OPT."""
+def _failures(instance: SmallInstance, configs: list[tuple], runs: list[_State], reference: int,
+              opt: int) -> Iterator[tuple[str, str]]:
+    """Yield (check, detail) for every check ``instance`` fails, given the runs of
+    ``configs`` after serving it, the FC reference's total and OPT."""
     n = len(instance.sequence)
-    mtf, trans, fc, literal, strict = named = [(config[0], run[3]) for config, run in zip(_CONFIGS, runs)]
+    mtf, trans, fc, literal, strict = named = [(config[0], run[3]) for config, run in zip(configs, runs)]
 
     if fc[1] != reference:
         yield "fc-matches-reference", f"engine {fc[1]} != reference {reference}"
 
-    for (label, _, _, counting), (order, neg, cursor, _, unsorted, batches, _) in zip(_CONFIGS, runs):
+    for (label, _, _, counting, _, _), (order, neg, cursor, _, unsorted, batches, _) in zip(configs, runs):
         if not counting:
             continue
         if sum(neg) != -n:

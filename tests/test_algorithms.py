@@ -1,4 +1,5 @@
 from array import array
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -606,7 +607,7 @@ def test_indexed_whole_call_matches_scanning_one_step_calls(label, inputs, model
     if first == 0:
         by_runs = listlab.algorithms._runs(bytes(sequence), 0, len(sequence)) is not None
         assert by_runs == (inputs in ("runs", "long-runs", "runs-then-run-free"))
-    serve = listlab.algorithms._KERNELS[label]
+    serve = listlab.algorithms.CONFIGURATIONS[label].serve
     costs = listlab.algorithms._access_costs(model, len(alphabet))
     calls = [(sequence, 1), (sequence, len(sequence))] + ([(bytes(sequence), len(sequence))] if first == 0 else [])
     runs = []
@@ -632,6 +633,22 @@ def test_whole_run_reads_byte_values_however_they_come(configuration):
     assert reports[1:] == reports[:1] * 2
 
 
+@pytest.mark.parametrize("keep_trace", [False, True], ids=["whole", "traced"])
+@pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda c: f"{c[0].value}-{c[1].value}")
+def test_run_reads_any_int_sequence_by_value(configuration, keep_trace):
+    """A deque cannot be sliced, and a memoryview has no ``count``, which strict
+    VFC's window test calls; ``run_algorithm`` serves them, and a range, as the
+    tuple of their values, whole and traced. A memoryview of two-byte items is
+    read item by item, never as its raw bytes."""
+    kind, policy = configuration
+    alphabet = list(range(40, 60))
+    requests = generate_sequence(alphabet, 2000, RunLengths(3.0), seed=5)
+    for sequence in (deque(requests), memoryview(bytes(requests)), memoryview(array("H", requests)),
+                     range(59, 39, -1)):
+        report = run_algorithm(kind, state(alphabet), sequence, FULL, policy, keep_trace=keep_trace)
+        assert report == run_algorithm(kind, state(alphabet), tuple(sequence), FULL, policy, keep_trace=keep_trace)
+
+
 @pytest.mark.parametrize("label", ["mtf", "trans", "fc", "vfc[literal]", "vfc[strict]"])
 @pytest.mark.parametrize(
     "order,sequence,absent",
@@ -650,7 +667,7 @@ def test_whole_call_raises_for_the_first_unlisted_request(label, order, sequence
     ``SymbolNotInList`` naming the first unlisted request and its index: an
     unlisted byte finds no slot, and no request outside 0..255 is served
     as the symbol whose slot it would wrap around to."""
-    (kind, policy), = [c for c in CONFIGURATIONS if listlab.algorithms._label(*c) == label]
+    kind, policy = listlab.algorithms.CONFIGURATIONS[label][:2]
     with pytest.raises(SymbolNotInList) as exc:
         run_algorithm(kind, state(order), sequence, FULL, policy, keep_trace=False)
     assert (exc.value.symbol, exc.value.request_index) == absent
@@ -658,7 +675,7 @@ def test_whole_call_raises_for_the_first_unlisted_request(label, order, sequence
 
 def _strict_one_step_calls(sequence, costs):
     """Strict VFC from the list 1, 2, 3, all counters zero, its kernel called once a step: (total, order, neg)."""
-    serve = listlab.algorithms._KERNELS["vfc[strict]"]
+    serve = listlab.algorithms.CONFIGURATIONS["vfc[strict]"].serve
     order, neg, cursor, total = [1, 2, 3], [0, 0, 0], 0, 0
     while cursor < len(sequence):
         cursor, cost = serve(order, neg, sequence, cursor, cursor + 1, costs)
@@ -673,7 +690,7 @@ def test_strict_kernel_split_anywhere_matches_one_step_calls(model):
     ends with the total, order and counters of one call a step: the first
     call serves its runs but the last through FC's loop and settles their
     batches after the fact, and the second may start inside a run."""
-    serve = listlab.algorithms._KERNELS["vfc[strict]"]
+    serve = listlab.algorithms.CONFIGURATIONS["vfc[strict]"].serve
     costs = listlab.algorithms._access_costs(model, 3)
     for instance in enumerate_instances(3, 7, model):
         sequence = instance.sequence

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,12 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def plant(monkeypatch, label, kernel):
+    """Replace ``label``'s kernel in the configuration table, which ``run``, verify's walk and its whole reruns read."""
+    table = listlab.algorithms.CONFIGURATIONS
+    monkeypatch.setitem(table, label, table[label]._replace(serve=kernel))
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -173,11 +180,8 @@ class TestInternalError:
 
     @staticmethod
     def _verify_walking(monkeypatch, label, kernel, max_seq_len):
-        """The one stderr line of a verify at list size 3 that exits 3 with ``kernel``
-        driving ``label`` in the walk: ``_CONFIGS`` holds the kernels the walk drives."""
-        configs = [(name, kernel if name == label else serve, *traits)
-                   for name, serve, *traits in listlab.oracle._CONFIGS]
-        monkeypatch.setattr(listlab.oracle, "_CONFIGS", tuple(configs))
+        """The one stderr line of a verify at list size 3 that exits 3 with ``kernel`` driving ``label``."""
+        plant(monkeypatch, label, kernel)
         code, _, err = run_cli(["verify", "--max-list-size", "3", "--max-seq-len", max_seq_len])
         assert code == 3
         (line,) = err.splitlines()
@@ -189,11 +193,13 @@ class TestInternalError:
         (1, 1, 2, 1): a broken engine, not bad input."""
 
         def overwriting(order, neg, sequence, cursor, stop, costs):
-            request = sequence[cursor]
-            j = order.index(request)
-            if j:
-                order[j - 1] = request
-            return cursor + 1, costs[j]
+            total = 0
+            for request in sequence[cursor:stop]:
+                j = order.index(request)
+                if j:
+                    order[j - 1] = request
+                total += costs[j]
+            return stop, total
 
         line = self._verify_walking(monkeypatch, "trans", overwriting, "4")
         assert line == "internal error: trans lost a symbol of the list serving seq=(1, 1, 2, 1): 1 is not in list"
@@ -201,11 +207,11 @@ class TestInternalError:
     def test_verify_window_test_that_meets_a_lost_symbol(self, monkeypatch):
         """A literal VFC step that writes the third symbol over the second once 2 is at the
         head loses 1 on (1, 2); the walk extends (1, 2, 2, 1), so its window test looks 1 up."""
-        real = listlab.algorithms._KERNELS["vfc[literal]"]
+        real = listlab.algorithms.CONFIGURATIONS["vfc[literal]"].serve
 
         def overwriting(order, neg, sequence, cursor, stop, costs):
             served = real(order, neg, sequence, cursor, stop, costs)
-            if sequence[cursor] == 2 == order[0]:
+            if cursor < stop and sequence[cursor] == 2 == order[0]:
                 order[1] = order[2]
             return served
 
@@ -213,28 +219,28 @@ class TestInternalError:
         assert line == "internal error: vfc[literal] lost a symbol of the list serving seq=(1, 2, 2, 1): 1 is not in list"
 
     def test_run_with_a_kernel_that_repeats_a_symbol(self, monkeypatch):
-        real = listlab.algorithms._KERNELS["mtf"]
+        real = listlab.algorithms.CONFIGURATIONS["mtf"].serve
 
         def duplicating(order, *args):
             served = real(order, *args)
             order[-1] = order[0]
             return served
 
-        monkeypatch.setitem(listlab.algorithms._KERNELS, "mtf", duplicating)
+        plant(monkeypatch, "mtf", duplicating)
         code, out, err = run_cli(["run", "--demo", "--algos", "mtf"])
         assert (code, out) == (3, "")
         assert err == "internal error: mtf left the list [3, 2, 3], not a permutation of [1, 2, 3]\n"
 
     def test_run_with_a_kernel_that_loses_a_symbol_after_serving(self, monkeypatch):
         """No lookup misses, so only the end check sees the shorter list."""
-        real = listlab.algorithms._KERNELS["mtf"]
+        real = listlab.algorithms.CONFIGURATIONS["mtf"].serve
 
         def losing(order, *args):
             served = real(order, *args)
             order.pop()
             return served
 
-        monkeypatch.setitem(listlab.algorithms._KERNELS, "mtf", losing)
+        plant(monkeypatch, "mtf", losing)
         code, out, err = run_cli(["run", "--demo", "--algos", "mtf"])
         assert (code, out) == (3, "")
         assert err == "internal error: mtf left the list [3, 2], not a permutation of [1, 2, 3]\n"
@@ -247,7 +253,7 @@ class TestInternalError:
         TRANS's and FC's slot lists read None for it; traced, the first call's first half is empty. Every
         request is listed, so the miss is the engine's fault, not the input's."""
         label = "vfc[literal]" if algo == "vfc" else algo
-        real = listlab.algorithms._KERNELS[label]
+        real = listlab.algorithms.CONFIGURATIONS[label].serve
         dropped = []
 
         def losing(order, neg, sequence, cursor, stop, costs):
@@ -258,11 +264,40 @@ class TestInternalError:
             cursor, rest = real(order, neg, sequence, cursor, stop, costs)
             return cursor, total + rest
 
-        monkeypatch.setitem(listlab.algorithms._KERNELS, label, losing)
+        plant(monkeypatch, label, losing)
         code, out, err = run_cli(["run", "--demo", "--algos", algo] + ["--trace"] * trace)
         assert (code, out, dropped) == (3, "", [(3, 0)])
         (line,) = err.splitlines()
         assert line.startswith(f"internal error: {label} lost a symbol of the list [1, 2, 3]: ")
+
+
+def test_a_kernel_planted_in_the_table_drives_run_the_walk_and_the_reruns(monkeypatch):
+    """One replacement of FC's kernel in the configuration table: the untraced demo run
+    serves its one call through it, and so does verify at (2,3), in the walk, one step a
+    call, and in the whole reruns of its six family instances, one call each."""
+    real = listlab.algorithms.CONFIGURATIONS["fc"].serve
+    where, calls = ["run"], Counter()
+
+    def counting(order, neg, sequence, cursor, stop, costs):
+        calls[where[0], stop - cursor == 1] += 1
+        return real(order, neg, sequence, cursor, stop, costs)
+
+    def rerun(*args, **kwargs):
+        where[0] = "rerun"
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            where[0] = "walk"
+
+    plant(monkeypatch, "fc", counting)
+    real_run = listlab.oracle.run_algorithm
+    monkeypatch.setattr(listlab.oracle, "run_algorithm", rerun)
+    assert run_cli(["run", "--demo", "--algos", "fc"])[0] == 0
+    where[0] = "walk"
+    assert run_cli(["verify", "--max-list-size", "2", "--max-seq-len", "3"])[0] == 0
+    # the walk extends each of the 14 non-empty instances by one step; of the reruns only (2,) is one step long,
+    # and (), (2, 2), (2, 1), (2, 2, 2) and (2, 2, 1) are not
+    assert calls == {("run", False): 1, ("walk", True): 14, ("rerun", True): 1, ("rerun", False): 5}
 
 
 def test_trace_prints_batched_step():
@@ -353,6 +388,16 @@ def test_strip_bytes_must_be_hex_bytes(tmp_path, token, with_file):
 
 
 class TestGenerate:
+    def test_uniform_runs_and_labels_its_row(self):
+        code, out, err = run_cli(["run", "--generate", "uniform", "--alphabet-size", "4", "--length", "50"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].startswith("uniform-a4-n50-s0 ")
+
+    def test_unknown_distribution_is_a_config_error(self):
+        code, out, err = run_cli(["run", "--generate", "pareto:2", "--length", "20"])
+        assert (code, out) == (1, "")
+        assert err == "error: unknown distribution 'pareto:2' (use uniform, zipf[:EXP], runs[:MEAN])\n"
+
     def test_non_finite_zipf_exponent_is_a_config_error(self):
         for spec in ("zipf:nan", "zipf:inf"):
             code, _, err = run_cli(["run", "--generate", spec, "--length", "20"])
@@ -392,6 +437,9 @@ class TestAlgos:
 
 
 class TestRunOptions:
+    def test_run_without_inputs_is_a_config_error(self):
+        assert run_cli(["run"]) == (1, "", "error: no inputs: give file paths, --demo, or --generate\n")
+
     def test_limit_truncates_every_sequence(self, tmp_path):
         csv_path = tmp_path / "o.csv"
         assert run_cli(["run", "--demo", "--limit", "3", "--csv", str(csv_path)])[0] == 0

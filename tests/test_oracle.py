@@ -220,12 +220,24 @@ def _free_head(real):
     return lambda model, m: [0, *real(model, m)[1:]]
 
 
+def _strict_overrun(table):
+    """The table with a strict VFC kernel that returns one past the sequence's end, charging nothing for it."""
+    real = table["vfc[strict]"].serve
+
+    def serve(order, neg, sequence, cursor, stop, costs):
+        cursor, total = real(order, neg, sequence, cursor, stop, costs)
+        return cursor + (cursor == len(sequence)), total
+
+    return {**table, "vfc[strict]": table["vfc[strict]"]._replace(serve=serve)}
+
+
 # (check, name, change, first counterexample): each change breaks what its
 # check guards. A bare name is a reference value the checks read, an
 # argument of ``listlab.oracle._failures``, and change maps it; a name in
 # ``listlab.algorithms`` is an engine helper, and change(real) replaces it:
-# every engine run prices its positions with ``_access_costs``, and every FC or
-# VFC step that moves an element calls ``_promote``.
+# every engine run prices its positions with ``_access_costs``, every FC or
+# VFC step that moves an element calls ``_promote``, and every run reads its
+# kernel from ``CONFIGURATIONS``.
 PERTURBATIONS = [
     (
         "fc-matches-reference",
@@ -256,6 +268,12 @@ PERTURBATIONS = [
         "algorithms._promote",
         _promote_one_too_many,
         "order=(1, 2, 3) seq=(2,): fc counter sum != 1",
+    ),
+    (
+        "fc-vfc-conservation",
+        "algorithms.CONFIGURATIONS",
+        _strict_overrun,
+        "order=(1, 2, 3) seq=(1,): vfc[strict] consumed 2 of 1",
     ),
     (
         "full-model-lower-bound",
@@ -326,10 +344,10 @@ class TestVerification:
         else:
             real = listlab.oracle._failures
 
-            def failures(instance, runs, reference, opt):
+            def failures(instance, configs, runs, reference, opt):
                 values = {"reference": reference, "opt": opt}
                 values[name] = change(values[name])
-                return real(instance, runs, **values)
+                return real(instance, configs, runs, **values)
 
             monkeypatch.setattr(listlab.oracle, "_failures", failures)
         lines = verify_engines(3, 5).summary_lines()
@@ -349,7 +367,8 @@ class TestVerification:
         ]
         monkeypatch.undo()
         real = listlab.oracle._failures
-        monkeypatch.setattr(listlab.oracle, "_failures", lambda inst, runs, ref, opt: real(inst, runs, ref, opt + 1))
+        monkeypatch.setattr(listlab.oracle, "_failures",
+                            lambda inst, configs, runs, ref, opt: real(inst, configs, runs, ref, opt + 1))
         assert _fail_block(verify_engines(3, 5), "opt-dominates-engines") == [
             "order=(1, 2, 3) seq=(): mtf total 0 < opt 1",
             "order=(1, 2, 3) seq=(): trans total 0 < opt 1",
@@ -373,6 +392,12 @@ class TestVerification:
         assert any("order=" in f and "seq=" in f for c in failing for f in c.failures)
 
 
+def walked_configurations():
+    """The table as ``verify_engines`` hands it to the walk: (label, kernel, lookahead, counting, kind, policy)."""
+    table = listlab.algorithms.CONFIGURATIONS
+    return [(k, c.serve, c.lookahead, c.counting, c.kind, c.policy) for k, c in table.items()]
+
+
 def _fail_block(report, check):
     """The counterexamples ``check`` kept, checking that it failed."""
     result = next(c for c in report.checks if c.name == check)
@@ -387,12 +412,12 @@ def test_prefix_walk_ends_where_each_engine_run_ends(model):
     must end where a run over the whole instance, served in one kernel call,
     ends. Only such a call takes the repeat branches of FC's loop and MTF's."""
     count = 0
-    for instance, runs, _, _ in listlab.oracle._prefix_runs(4, 6, model):
+    for instance, runs, _, _ in listlab.oracle._prefix_runs(4, 6, model, walked_configurations()):
         count += 1
         state = instance.to_state()
-        for (kind, policy), (label, *_), run in zip(listlab.oracle.RUNS, listlab.oracle._CONFIGS, runs):
+        for (label, config), run in zip(listlab.algorithms.CONFIGURATIONS.items(), runs):
             order, neg, cursor, total, *_ = run
-            report = run_algorithm(kind, state, instance.sequence, model, policy, keep_trace=False)
+            report = run_algorithm(config.kind, state, instance.sequence, model, config.policy, keep_trace=False)
             walked = (label, total, order, dict(zip(order, [-c for c in neg])), cursor)
             expected = (
                 report.label,
@@ -413,7 +438,7 @@ def test_prefix_walk_carries_both_references(model, m, n, count):
     leaf, an instance of length n, takes OPT from its parent's ``reach``
     without stepping it, so this pins that rule on every leaf too."""
     walked = leaves = 0
-    for instance, _, reference, opt in listlab.oracle._prefix_runs(m, n, model):
+    for instance, _, reference, opt in listlab.oracle._prefix_runs(m, n, model, walked_configurations()):
         walked += 1
         leaves += len(instance.sequence) == n
         expected = (naive_fc_cost(instance), opt_free_exchange_cost(instance))
@@ -423,14 +448,22 @@ def test_prefix_walk_carries_both_references(model, m, n, count):
 
 
 def test_configurations_take_their_traits_from_their_kinds():
-    """Only VFC reads a window; FC and VFC keep counters."""
-    assert [(label, lookahead, counting) for label, _, lookahead, counting in listlab.oracle._CONFIGS] == [
-        ("mtf", False, False),
-        ("trans", False, False),
-        ("fc", False, True),
-        ("vfc[literal]", True, True),
-        ("vfc[strict]", True, True),
+    """The table holds the five configurations in the order verify walks them:
+    only VFC reads a window, FC and VFC keep counters, and only VFC has a
+    policy. ``run_algorithm`` finds each by its kind and policy, and labels it by its key."""
+    table = listlab.algorithms.CONFIGURATIONS
+    literal, strict = VfcPolicy.LITERAL, VfcPolicy.STRICT_HOMOGENEOUS
+    assert [(label, c.kind, c.policy, c.counting, c.lookahead) for label, c in table.items()] == [
+        ("mtf", AlgorithmKind.MTF, literal, False, False),
+        ("trans", AlgorithmKind.TRANS, literal, False, False),
+        ("fc", AlgorithmKind.FC, literal, True, False),
+        ("vfc[literal]", AlgorithmKind.VFC, literal, True, True),
+        ("vfc[strict]", AlgorithmKind.VFC, strict, True, True),
     ]
+    one = ListState.from_order([1])
+    for label, config in table.items():
+        assert run_algorithm(config.kind, one, (1,), FULL, config.policy).label == label
+    assert run_algorithm(AlgorithmKind.FC, one, (1,), FULL, strict).label == "fc"  # FC has no policy
 
 
 def test_prefix_walk_extends_each_instance_once(monkeypatch):
@@ -451,7 +484,7 @@ def test_prefix_walk_extends_each_instance_once(monkeypatch):
     served_by = {}
     for sequence, label, committed in calls:
         served_by.setdefault(sequence, set()).add((label, committed))
-    labels = [label for label, *_ in listlab.oracle._CONFIGS]
+    labels = list(listlab.algorithms.CONFIGURATIONS)
     leaf = {(label, False) for label in labels}
     inner = {(label, True) for label in labels} | {("vfc[literal]", False), ("vfc[strict]", False)}
     assert len(served_by) == 5460 and () not in served_by
@@ -494,7 +527,7 @@ def test_prefix_walk_reruns_three_families_whole():
     with mock.patch.object(listlab.oracle, "run_algorithm", wraps=listlab.oracle.run_algorithm) as run:
         assert verify_engines(4, 6).passed
     rerun = Counter(call.args[2] for call in run.call_args_list)
-    assert rerun == dict.fromkeys(FAMILIES_4_6, len(listlab.oracle.RUNS))
+    assert rerun == dict.fromkeys(FAMILIES_4_6, len(listlab.algorithms.CONFIGURATIONS))
 
 
 def test_prefix_walk_reruns_reach_the_byte_slot_index():
@@ -510,7 +543,8 @@ def test_prefix_walk_reruns_reach_the_byte_slot_index():
     rerun, bytewise, by_runs = [None], set(), set()
 
     def run(kind, state, sequence, model, policy, **kwargs):
-        rerun[0] = (sequence, listlab.algorithms._label(kind, policy))
+        rerun[0] = (sequence, next(label for label, c in listlab.algorithms.CONFIGURATIONS.items()
+                                   if (c.kind, c.policy) == (kind, policy)))
         try:
             return real_run(kind, state, sequence, model, policy, **kwargs)
         finally:

@@ -44,6 +44,11 @@ class TestCsv:
         rows = sample_rows()
         assert rows_from_csv(rows_to_csv(rows)) == rows
 
+    def test_round_trip_skips_blank_lines(self):
+        """A blank line, even between two lines of one input, ends no row."""
+        header, first, *rest = rows_to_csv(sample_rows()).splitlines()
+        assert rows_from_csv("\n".join([header, first, "", *rest, ""]) + "\n") == sample_rows()
+
     def test_round_trip_preserves_algo_order(self):
         rows = [ComparisonRow("x", 3, 2, CostModel.PARTIAL, {"vfc": 3, "mtf": 4, "fc": 5})]
         parsed = rows_from_csv(rows_to_csv(rows))
@@ -117,6 +122,9 @@ class TestTable:
         table = format_table(sample_rows())
         for needle in ("alpha.txt", "beta.txt", "5400", "4100", "3300"):
             assert needle in table
+
+    def test_no_rows(self):
+        assert format_table([]) == "(no rows)\n"
 
     def test_one_line_per_row_plus_header(self):
         assert len(format_table(sample_rows()).splitlines()) == 2 + 2
